@@ -157,12 +157,14 @@ def cmd_lyndon(args) -> int:
     return 0
 
 
-def _element_command(args, operation) -> int:
+def _element_command(args, operation, series_operation) -> int:
+    """Run a group operation; under --oracle, recheck it against the series one."""
     cfg = _config(args)
     r, c = cfg.rank, cfg.class_bound
     operands = [parse_element(text, r, c) for text in args.elements]
-    result, oracle_series = operation(r, c, operands)
-    if args.oracle and oracle_series is not None:
+    result = operation(*operands)
+    if args.oracle:
+        oracle_series = series_operation(*(magnus_embed(g).coefficients for g in operands), c)
         fresh = magnus_embed(
             parse_element(element_to_text(result), r, c)
         ).coefficients
@@ -177,32 +179,15 @@ def _element_command(args, operation) -> int:
 
 
 def cmd_mul(args) -> int:
-    def op(r, c, operands):
-        g, h = operands
-        series = poly_mul(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
-        return group_mul(g, h), series
-
-    return _element_command(args, op)
+    return _element_command(args, group_mul, poly_mul)
 
 
 def cmd_inv(args) -> int:
-    def op(r, c, operands):
-        (g,) = operands
-        series = poly_unit_inverse(magnus_embed(g).coefficients, c)
-        return group_inv(g), series
-
-    return _element_command(args, op)
+    return _element_command(args, group_inv, poly_unit_inverse)
 
 
 def cmd_comm(args) -> int:
-    def op(r, c, operands):
-        g, h = operands
-        series = poly_group_commutator(
-            magnus_embed(g).coefficients, magnus_embed(h).coefficients, c
-        )
-        return group_comm(g, h), series
-
-    return _element_command(args, op)
+    return _element_command(args, group_comm, poly_group_commutator)
 
 
 def cmd_verify(args) -> int:

@@ -37,10 +37,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
@@ -54,13 +50,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matvec(a: Matrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def columns(a: Matrix, ncols: int | None = None) -> list:
-    """Columns of a as tuples; ncols disambiguates the 0-row case."""
-    if not a:
-        return [() for _ in range(ncols)] if ncols else []
-    return [tuple(row[j] for row in a) for j in range(len(a[0]))]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -82,17 +71,6 @@ def det(a: Matrix) -> int:
     n = len(a)
     if n == 0:
         return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
-        return (
-            a11 * (a22 * a33 - a23 * a32)
-            - a12 * (a21 * a33 - a23 * a31)
-            + a13 * (a21 * a32 - a22 * a31)
-        )
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -357,6 +335,17 @@ def lattice_contains(basis_cols, vec) -> bool:
         q = c[row] // p[row]
         c = [ci - q * pi for ci, pi in zip(c, p)]
     return True
+
+
+def lattice_index(basis_cols, dim: int) -> int:
+    """Index in Z^dim of the lattice with this echelon basis (as produced by
+    lattice_basis); 0 when the lattice has lower rank."""
+    if len(basis_cols) < dim:
+        return 0
+    index = 1
+    for col in basis_cols:
+        index *= abs(next(x for x in col if x != 0))
+    return index
 
 
 def cokernel_presentation(cols, dim: int) -> FinAbPresentation:

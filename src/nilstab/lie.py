@@ -216,20 +216,3 @@ def lie_layer_matrix(a, r: int, n: int):
         x = LieElement(r, n, {b: 1})
         cols.append(lie_apply_matrix(a, x).coordinates(basis))
     return tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
-
-
-def graded_coordinates(x: LieElement) -> dict:
-    """Map degree -> coefficient tuple over the degree's Lyndon basis."""
-    from .words import lyndon_basis
-
-    out = {}
-    for n in sorted(x.degrees()):
-        out[n] = x.coordinates(lyndon_basis(x.rank, n))
-    return out
-
-
-def witt_check(r: int, n: int) -> bool:
-    """Desk-scale Witt theorem: basis size against the Moebius sum."""
-    from .words import lyndon_words, witt_rank
-
-    return len(lyndon_words(r, n)) == witt_rank(r, n)

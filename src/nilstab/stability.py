@@ -1,13 +1,16 @@
 """Degree-0 homological stability harness.
 
 Coinvariants of a based module under a group given by generator matrices are
-the cokernel of the lattice spanned by the columns of every (g - 1).  For a
-consecutive pair of ranks the composite comparison map on coinvariants is
-induced by the module stabilization; it is an isomorphism precisely when the
-two groups are abstractly isomorphic and the map is onto (finitely generated
-abelian groups are Hopfian).  The two factor maps (coefficient stabilization
-at a fixed group, then enlarging the group) are computed as well and reported
-as diagnostics.
+the cokernel of the lattice spanned by the columns of every (g - 1).  The
+automorphism group of the free nilpotent group acts on a polynomial module
+through its abelianization, which maps onto GL_r(Z), so scans take the
+coinvariants of the GL_r(Z) generators and their values do not depend on the
+class.  For a consecutive pair of ranks the composite comparison map on
+coinvariants is induced by the module stabilization; it is an isomorphism
+precisely when the two groups are abstractly isomorphic and the map is onto
+(finitely generated abelian groups are Hopfian).  The two factor maps
+(coefficient stabilization at a fixed group, then enlarging the group along
+diag(a, 1)) are computed as well and reported as diagnostics.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from functools import lru_cache
 from math import comb
 
 from . import intlinalg
-from .autos import HomMap, endo_from_matrix, lift_to_class, sharp, stabilize
+from .autos import HomMap, endo_from_matrix, lift_to_class, sharp
 from .intlinalg import FinAbPresentation, Matrix, cokernel_presentation, lattice_basis
-from .modules import ModuleSpec, eval_module, kernel_homology_module, restrict_action
+from .modules import ModuleSpec, _block_embed, eval_module, kernel_homology_module
 from .words import witt_rank
 
 
@@ -65,13 +68,11 @@ def aut_generators(r: int, c: int) -> tuple:
 
 def coinvariants(action_matrices, ambient_rank: int) -> FinAbPresentation:
     """Presentation of Z^k modulo the columns of every (g - 1)."""
-    cols = []
-    for g in action_matrices:
+    matrices = list(action_matrices)
+    for g in matrices:
         if len(g) != ambient_rank or any(len(row) != ambient_rank for row in g):
             raise ValueError("action matrix has wrong size")
-        diff = intlinalg.mat_sub(g, intlinalg.identity(ambient_rank))
-        cols.extend(intlinalg.columns(diff, ambient_rank))
-    return cokernel_presentation(cols, ambient_rank)
+    return _coinv(matrices, ambient_rank).presentation
 
 
 @dataclass(frozen=True)
@@ -86,33 +87,30 @@ class _Coinv:
 def _coinv(action_matrices, dim: int) -> _Coinv:
     cols = []
     for g in action_matrices:
-        diff = intlinalg.mat_sub(g, intlinalg.identity(dim))
-        cols.extend(intlinalg.columns(diff, dim))
-    basis = lattice_basis(cols, dim)
-    if not basis:
-        return _Coinv(dim, (), FinAbPresentation(dim, ()))
-    mat = tuple(tuple(col[i] for col in basis) for i in range(dim))
-    nonzero = intlinalg.snf(mat).invariant_factors()
-    pres = FinAbPresentation(dim - len(nonzero), tuple(d for d in nonzero if d > 1))
-    return _Coinv(dim, tuple(basis), pres)
+        for j, col in enumerate(zip(*g)):  # column j of g - 1
+            col = list(col)
+            col[j] -= 1
+            cols.append(tuple(col))
+    basis = tuple(lattice_basis(cols, dim))
+    return _Coinv(dim, basis, cokernel_presentation(basis, dim))
 
 
-def _induced_iso(f_matrix: Matrix, source: _Coinv, target: _Coinv) -> bool:
-    """Whether f induces an isomorphism of the presented cokernels.
+def _induced_iso(f_matrix: Matrix | None, source: _Coinv, target: _Coinv) -> bool:
+    """Whether f (None: the identity) induces an isomorphism of the presented cokernels.
 
-    Needs f(lattice) inside the target lattice; then iso = onto + same type.
+    Needs f(lattice) inside the target lattice; then iso = same type + onto, and
+    onto means f(Z^source) + lattice has index 1.  The identity is always onto.
     """
     if source.presentation != target.presentation:
         return False
     for col in source.lattice:
-        image = intlinalg.matvec(f_matrix, col)
+        image = col if f_matrix is None else intlinalg.matvec(f_matrix, col)
         if any(image) and not intlinalg.lattice_contains(target.lattice, image):
             raise AssertionError("comparison map does not respect the relation lattices")
-    if target.dim == 0:
+    if f_matrix is None:
         return True
-    f_cols = intlinalg.columns(f_matrix, source.dim)
-    full = cokernel_presentation(list(f_cols) + list(target.lattice), target.dim)
-    return full.is_trivial()
+    span = lattice_basis(intlinalg.transpose(f_matrix, source.dim) + target.lattice, target.dim)
+    return intlinalg.lattice_index(span, target.dim) == 1
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,12 @@ class ScanReport:
 
 def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
     """Coinvariants of the automorphism groups on the module across a rank range,
-    with the composite comparison map tested per consecutive pair."""
+    with the composite comparison map tested per consecutive pair.  They are
+    the coinvariants of gl_generators(r), since automorphisms act through the
+    abelianization, so they do not depend on c, which is validated and reported."""
     ranks = list(r_range)
+    if c < 1:
+        raise ValueError("need c >= 1")
     if not ranks:
         raise ValueError("empty rank range")
     if any(b <= a for a, b in zip(ranks, ranks[1:])) or ranks[0] < 1:
@@ -183,8 +185,7 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
     per_rank: dict = {}
     for r in ranks:
         mod = eval_module(spec, r)
-        matrices = {restrict_action(spec, g) for g in aut_generators(r, c)}
-        per_rank[r] = (mod, _coinv(sorted(matrices), mod.rank))
+        per_rank[r] = (mod, _coinv([mod.action(a) for a in gl_generators(r)], mod.rank))
 
     entries = []
     iso_flags: dict = {}
@@ -195,14 +196,10 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
             continue
         mod_next, coinv_next = per_rank[r + 1]
         # middle term: the smaller group, acting on the stabilized coefficients
-        mid_matrices = {
-            restrict_action(spec, stabilize(g)) for g in aut_generators(r, c)
-        }
-        coinv_mid = _coinv(sorted(mid_matrices), mod_next.rank)
+        mid = [mod_next.action(_block_embed(a)) for a in gl_generators(r)]
+        coinv_mid = _coinv(mid, mod_next.rank)
         stab_leg = _induced_iso(mod.stab, coinv_r, coinv_mid)
-        group_leg = _induced_iso(
-            intlinalg.identity(mod_next.rank), coinv_mid, coinv_next
-        )
+        group_leg = _induced_iso(None, coinv_mid, coinv_next)
         composite = _induced_iso(mod.stab, coinv_r, coinv_next)
         iso_flags[r] = composite
         entries.append(ScanEntry(r, coinv_r.presentation, composite, stab_leg, group_leg))

@@ -59,6 +59,20 @@ def test_mul_with_oracle(capsys):
     assert out.strip() == "a * b * [ab]^-1"
 
 
+def test_element_commands_skip_series_without_oracle(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("series oracle computed without --oracle")
+
+    for name in ("magnus_embed", "poly_mul", "poly_unit_inverse", "poly_group_commutator"):
+        monkeypatch.setattr(f"nilstab.cli.{name}", refuse)
+    code, out, _ = run(capsys, "mul", "-r", "2", "-c", "2", "b", "a")
+    assert code == 0 and out.strip() == "a * b * [ab]^-1"
+    code, out, _ = run(capsys, "inv", "-r", "2", "-c", "2", "a")
+    assert code == 0 and out.strip() == "a^-1"
+    code, out, _ = run(capsys, "comm", "-r", "2", "-c", "2", "a", "b")
+    assert code == 0 and out.strip() == "[ab]"
+
+
 def test_inv_and_comm(capsys):
     code, out, _ = run(capsys, "inv", "-r", "2", "-c", "2", "a")
     assert code == 0 and out.strip() == "a^-1"
@@ -137,6 +151,57 @@ def test_scan_text_and_exit_codes(capsys):
         capsys, "scan", "--spec", "std", "-c", "1", "-r", "1..2", "--allow-unstable"
     )
     assert code == 0
+
+
+README_SCAN = ["scan", "--spec", "hom(std, ext(2, dual))", "-c", "2", "-r", "1..5"]
+
+SCAN_GOLDEN = [
+    (
+        README_SCAN + ["--format", "json"],
+        '[{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":true,"r":1},'
+        '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":false,"r":2},'
+        '{"free_rank":0,"invariant_factors":[2],"map_to_next_is_iso":false,"r":3},'
+        '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":true,"r":4},'
+        '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":null,"r":5}]\n',
+    ),
+    (
+        README_SCAN + ["--format", "csv"],
+        "r,free_rank,invariant_factors,map_to_next_is_iso\n"
+        "1,0,,true\n"
+        "2,0,,false\n"
+        "3,0,2,false\n"
+        "4,0,,true\n"
+        "5,0,,\n",
+    ),
+    (
+        README_SCAN,
+        "scan hom(std, ext(2, dual)) at class 2\n"
+        "  r=1: H_0 = 0; map to r=2 iso: True (coefficient leg False, group leg False)\n"
+        "  r=2: H_0 = 0; map to r=3 iso: False (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = Z/2; map to r=4 iso: False (coefficient leg True, group leg False)\n"
+        "  r=4: H_0 = 0; map to r=5 iso: True (coefficient leg True, group leg True)\n"
+        "  r=5: H_0 = 0\n"
+        "  stabilized from r = 4\n",
+    ),
+    (
+        ["scan", "--spec", "std", "-c", "3", "-r", "1..4"],
+        "scan std at class 3\n"
+        "  r=1: H_0 = Z/2; map to r=2 iso: False (coefficient leg False, group leg False)\n"
+        "  r=2: H_0 = 0; map to r=3 iso: True (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = 0; map to r=4 iso: True (coefficient leg False, group leg False)\n"
+        "  r=4: H_0 = 0\n"
+        "  stabilized from r = 2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", SCAN_GOLDEN, ids=["readme-json", "readme-csv", "readme-text", "std-text"]
+)
+def test_scan_golden_output(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_scan_bad_spec(capsys):

@@ -2,8 +2,11 @@
 
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilstab.intlinalg import (
     FinAbPresentation,
@@ -16,6 +19,7 @@ from nilstab.intlinalg import (
     kron,
     lattice_basis,
     lattice_contains,
+    lattice_index,
     matmul,
     snf,
     transpose,
@@ -195,6 +199,34 @@ def test_cokernel_presentation():
     assert cokernel_presentation([(1, 0), (0, 1)], 2) == FinAbPresentation(0, ())
     pres = cokernel_presentation([(2, 0), (0, 3)], 2)
     assert pres == FinAbPresentation(0, (6,))  # Z/2 + Z/3 collapses to Z/6
+
+
+def test_lattice_index_examples():
+    assert lattice_index(lattice_basis([(2, 0), (0, 3)], 2), 2) == 6
+    assert lattice_index(lattice_basis([(2, 0), (0, 2), (1, 1)], 2), 2) == 2
+    assert lattice_index(lattice_basis([(1, 1)], 2), 2) == 0  # rank 1 in Z^2
+    assert lattice_index([], 0) == 1
+
+
+_column_sets = st.integers(0, 4).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=6),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_column_sets)
+def test_lattice_index_against_cokernel(case):
+    dim, cols = case
+    index = lattice_index(lattice_basis(cols, dim), dim)
+    pres = cokernel_presentation(cols, dim)
+    assert (index == 1) == pres.is_trivial()
+    if pres.free_rank == 0:
+        assert index == prod(pres.invariant_factors)
+    else:
+        assert index == 0
 
 
 def test_presentation_str():

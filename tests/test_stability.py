@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nilstab.autos import abelianization_matrix, is_automorphism, project, Endo
-from nilstab.intlinalg import FinAbPresentation, det, identity
+from nilstab.autos import abelianization_matrix, is_automorphism, project, stabilize, Endo
+from nilstab.intlinalg import FinAbPresentation, det, identity, lattice_basis, lattice_contains
 from nilstab.modules import (
     Const,
     DualStd,
@@ -15,6 +15,7 @@ from nilstab.modules import (
     Std,
     Tensor,
     eval_module,
+    _block_embed,
     kernel_homology_module,
     restrict_action,
 )
@@ -123,6 +124,41 @@ def test_kernel_generators_act_trivially():
                     assert restrict_action(spec, e) == identity(mod.rank)
 
 
+def _same_relation_lattice(mats_a, mats_b, dim):
+    """Coinvariants agree, and so do the relation lattices behind them."""
+    assert coinvariants(mats_a, dim) == coinvariants(mats_b, dim)
+    lattices = []
+    for mats in (mats_a, mats_b):
+        cols = [tuple(g[i][j] - (i == j) for i in range(dim)) for g in mats for j in range(dim)]
+        lattices.append(lattice_basis(cols, dim))
+    for basis, other in (lattices, lattices[::-1]):
+        assert all(lattice_contains(other, col) for col in basis)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Std(), DualStd(), Tensor(Std(), DualStd()), Hom(Std(), Ext(2, DualStd()))],
+    ids=str,
+)
+def test_gl_generators_match_aut_generators(spec):
+    # the scans use GL_r(Z) generators; the class-c automorphism generators,
+    # restricted through the abelianization, are the reference
+    for c in (2, 3):
+        for r in (1, 2, 3, 4):
+            mod, mod_next = eval_module(spec, r), eval_module(spec, r + 1)
+            gens = aut_generators(r, c)
+            _same_relation_lattice(
+                [restrict_action(spec, e) for e in gens],
+                [mod.action(a) for a in gl_generators(r)],
+                mod.rank,
+            )
+            _same_relation_lattice(
+                [restrict_action(spec, stabilize(e)) for e in gens],
+                [mod_next.action(_block_embed(a)) for a in gl_generators(r)],
+                mod_next.rank,
+            )
+
+
 def test_scan_constant():
     rep = stability_scan(Const(1), 3, range(1, 4))
     assert [e.presentation for e in rep.entries] == [FinAbPresentation(1, ())] * 3
@@ -176,6 +212,8 @@ def test_scan_rejects_bad_ranges():
         stability_scan(Std(), 1, [2, 2])
     with pytest.raises(ValueError):
         stability_scan(Std(), 1, [3, 2])
+    with pytest.raises(ValueError):
+        stability_scan(Std(), 0, [1, 2])
 
 
 def test_kernel_homology_rank_examples():
