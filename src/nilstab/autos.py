@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .group import (
     GroupElement,
+    _json_fields,
     element_from_json,
     element_to_json,
     inv,
@@ -22,7 +23,7 @@ from .group import (
     mul,
     truncate,
 )
-from .series import poly_add, poly_mul, poly_scale
+from .series import poly_substitute
 from .words import LyndonBasisElement, lyndon_basis, witt_rank
 
 
@@ -78,18 +79,7 @@ def apply_endo(e: Endo, g: GroupElement) -> GroupElement:
         coeffs = dict(magnus_embed(img).coefficients)
         coeffs.pop((), None)  # X_i goes to embed(image) - 1
         letter_series.append(coeffs)
-    prefix_cache: dict = {(): {(): 1}}
-
-    def substituted(word: tuple) -> dict:
-        cached = prefix_cache.get(word)
-        if cached is None:
-            cached = poly_mul(substituted(word[:-1]), letter_series[word[-1] - 1], c)
-            prefix_cache[word] = cached
-        return cached
-
-    out: dict = {}
-    for word, coeff in magnus_embed(g).coefficients.items():
-        out = poly_add(out, poly_scale(substituted(word), coeff))
+    out = poly_substitute(magnus_embed(g).coefficients, letter_series, c)
     from .group import _from_series
 
     return _from_series(e.rank, c, out)
@@ -295,9 +285,9 @@ def endo_to_json(e: Endo) -> dict:
 
 
 def endo_from_json(obj: dict) -> Endo:
-    rank, class_bound = int(obj["rank"]), int(obj["class"])
+    rank, class_bound, entries = _json_fields(obj, "endomorphism", "images")
     images = []
-    for img in obj["images"]:
+    for img in entries:
         g = element_from_json(img)
         if (g.rank, g.class_bound) != (rank, class_bound):
             raise ValueError("image rank/class disagrees with the endomorphism")

@@ -65,9 +65,12 @@ def _max_class_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_CLASS
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"NILSTAB_MAX_CLASS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise UsageError(f"NILSTAB_MAX_CLASS must be >= 1, got {raw!r}")
+    return value
 
 
 def _config(args, need_class: bool = True) -> CommandConfig:
@@ -286,8 +289,12 @@ def cmd_scan(args) -> int:
 
 def cmd_snf(args) -> int:
     obj = _read_json_arg(args.matrix)
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise UsageError("snf expects a JSON list of rows")
+    if not (
+        isinstance(obj, list)
+        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
+        and all(type(x) is int for row in obj for x in row)
+    ):
+        raise UsageError("snf expects a JSON list of equal-length rows of integers")
     matrix = intlinalg.freeze(obj)
     res = intlinalg.snf(matrix)
     if args.format == "json":

@@ -303,9 +303,29 @@ def element_to_json(g: GroupElement) -> dict:
     return {"rank": g.rank, "class": g.class_bound, "exponents": exponents}
 
 
+def _json_fields(obj, what: str, items: str) -> tuple:
+    """(rank, class, obj[items]) of an exported object; ValueError on any other shape."""
+    if not (
+        isinstance(obj, dict)
+        and all(type(obj.get(key)) is int for key in ("rank", "class"))
+        and isinstance(obj.get(items), list)
+    ):
+        raise ValueError(
+            f"{what} JSON must be an object with integer rank and class and a list of {items}"
+        )
+    return obj["rank"], obj["class"], obj[items]
+
+
 def element_from_json(obj: dict) -> GroupElement:
-    rank, class_bound = int(obj["rank"]), int(obj["class"])
+    rank, class_bound, entries = _json_fields(obj, "element", "exponents")
     exps: dict = {}
-    for word_text, e in obj["exponents"]:
-        exps[LyndonBasisElement(_text_to_word(word_text))] = int(e)
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and type(entry[1]) is int
+        ):
+            raise ValueError(f"exponent entry {entry!r} is not a [word, integer] pair")
+        exps[LyndonBasisElement(_text_to_word(entry[0]))] = entry[1]
     return GroupElement.from_exponents(rank, class_bound, exps)

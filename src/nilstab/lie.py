@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import poly_add, poly_component, poly_mul, poly_scale, poly_sub
+from .series import poly_add, poly_component, poly_mul, poly_scale, poly_sub, poly_substitute
 from .words import LyndonBasisElement, bracketing, is_lyndon
 
 
@@ -188,18 +188,7 @@ def lie_apply_matrix(a, x: LieElement) -> LieElement:
     if len(a) != r or any(len(row) != r for row in a):
         raise ValueError("matrix size does not match rank")
     letter_image = [{(j + 1,): a[j][i] for j in range(r) if a[j][i]} for i in range(r)]
-    prefix_cache: dict = {(): {(): 1}}
-
-    def substituted(word: tuple) -> dict:
-        cached = prefix_cache.get(word)
-        if cached is None:
-            cached = poly_mul(substituted(word[:-1]), letter_image[word[-1] - 1], x.class_bound)
-            prefix_cache[word] = cached
-        return cached
-
-    out: dict = {}
-    for word, coeff in x.envelope().items():
-        out = poly_add(out, poly_scale(substituted(word), coeff))
+    out = poly_substitute(x.envelope(), letter_image, x.class_bound)
     return lie_from_polynomial(r, x.class_bound, out)
 
 

@@ -3,10 +3,10 @@
 A ModuleSpec is a rank-independent expression tree over the constructors
 constant, standard, inverse-transpose dual, direct sum, tensor, exterior
 power, Hom, and the graded Lie layers.  Evaluating at a rank r produces a
-based free abelian group with a multiplicative GL_r(Z)-action, a
-stabilization matrix into the rank r+1 evaluation, and the equivariant
-retraction back (costab); Hom needs the retraction on its source, which is
-why every evaluation carries one.
+based free abelian group with a multiplicative GL_r(Z)-action.  Every rank-r
+basis label is also a rank-(r+1) label, and the stabilization into the rank
+r+1 evaluation is the inclusion of labels (stab_index); the equivariant
+retraction back (costab) is its transpose.
 
 Automorphisms of the free nilpotent groups act through their abelianization,
 so restriction along that map is just evaluation at the abelianized matrix.
@@ -15,6 +15,7 @@ so restriction along that map is just evaluation at the abelianized matrix.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -130,12 +131,24 @@ class BasedModule:
         return len(self.basis)
 
     @cached_property
+    def stab_index(self) -> tuple:
+        """Position of each basis label in the rank-(r+1) basis."""
+        next_basis = _basis(self.spec, self.rank_of_group + 1)
+        position = {label: i for i, label in enumerate(next_basis)}
+        return tuple(position[label] for label in self.basis)
+
+    @cached_property
     def stab(self) -> Matrix:
-        return _stab(self.spec, self.rank_of_group)
+        """0/1 matrix of the stabilization: each basis label goes to itself at rank r+1."""
+        next_rank = len(_basis(self.spec, self.rank_of_group + 1))
+        rows = [[0] * self.rank for _ in range(next_rank)]
+        for j, i in enumerate(self.stab_index):
+            rows[i][j] = 1
+        return intlinalg.freeze(rows)
 
     @cached_property
     def costab(self) -> Matrix:
-        return _costab(self.spec, self.rank_of_group)
+        return transpose(self.stab, self.rank)
 
     def action(self, a: Matrix) -> Matrix:
         a = intlinalg.freeze(a)
@@ -209,73 +222,6 @@ def _action(spec: ModuleSpec, r: int, a: Matrix, a_inv: Matrix) -> Matrix:
         return kron(tgt, transpose(src_inv, len(_basis(spec.source, r))))
     if isinstance(spec, LieLayer):
         return lie_layer_matrix(a, r, spec.degree)
-    raise TypeError(f"unknown spec {spec!r}")
-
-
-def _inclusion(sub: tuple, full: tuple) -> Matrix:
-    """Matrix of the inclusion of a labeled subset into a full basis."""
-    index = {label: i for i, label in enumerate(full)}
-    cols = [index[label] for label in sub]
-    return tuple(
-        tuple(1 if j < len(cols) and cols[j] == i else 0 for j in range(len(sub)))
-        for i in range(len(full))
-    )
-
-
-def _stab(spec: ModuleSpec, r: int) -> Matrix:
-    """Equivariant injection of the rank-r evaluation into the rank-(r+1) one."""
-    if isinstance(spec, Const):
-        return intlinalg.identity(spec.rank)
-    if isinstance(spec, Std):
-        return _inclusion(_basis(spec, r), _basis(spec, r + 1))
-    if isinstance(spec, DualStd):
-        # extend a functional by zero on the new basis vector
-        return _inclusion(_basis(spec, r), _basis(spec, r + 1))
-    if isinstance(spec, Sum):
-        return intlinalg.block_diag(
-            _stab(spec.left, r),
-            _stab(spec.right, r),
-            len(_basis(spec.left, r)),
-            len(_basis(spec.right, r)),
-        )
-    if isinstance(spec, Tensor):
-        return kron(_stab(spec.left, r), _stab(spec.right, r))
-    if isinstance(spec, Ext):
-        inner = _stab(spec.inner, r)
-        return compound(
-            inner, spec.power, len(_basis(spec.inner, r + 1)), len(_basis(spec.inner, r))
-        )
-    if isinstance(spec, Hom):
-        src_cols = len(_basis(spec.source, r + 1))
-        return kron(_stab(spec.target, r), transpose(_costab(spec.source, r), src_cols))
-    if isinstance(spec, LieLayer):
-        return _inclusion(_basis(spec, r), _basis(spec, r + 1))
-    raise TypeError(f"unknown spec {spec!r}")
-
-
-def _costab(spec: ModuleSpec, r: int) -> Matrix:
-    """Equivariant retraction of the rank-(r+1) evaluation onto the rank-r one."""
-    if isinstance(spec, Const):
-        return intlinalg.identity(spec.rank)
-    if isinstance(spec, (Std, DualStd, LieLayer)):
-        return transpose(_stab(spec, r), len(_basis(spec, r)))
-    if isinstance(spec, Sum):
-        return intlinalg.block_diag(
-            _costab(spec.left, r),
-            _costab(spec.right, r),
-            len(_basis(spec.left, r + 1)),
-            len(_basis(spec.right, r + 1)),
-        )
-    if isinstance(spec, Tensor):
-        return kron(_costab(spec.left, r), _costab(spec.right, r))
-    if isinstance(spec, Ext):
-        inner = _costab(spec.inner, r)
-        return compound(
-            inner, spec.power, len(_basis(spec.inner, r)), len(_basis(spec.inner, r + 1))
-        )
-    if isinstance(spec, Hom):
-        src_cols = len(_basis(spec.source, r))
-        return kron(_costab(spec.target, r), transpose(_stab(spec.source, r), src_cols))
     raise TypeError(f"unknown spec {spec!r}")
 
 
@@ -360,6 +306,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def number(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise ValueError(f"expected a number, found {tok!r}")
+        if int(tok) > sys.maxsize:
+            raise ValueError(f"number {tok} is too large")
+        return int(tok)
+
     def parse(self) -> ModuleSpec:
         spec = self.expr()
         if self.peek() is not None:
@@ -397,14 +351,14 @@ class _Parser:
             return {"sum": Sum, "tensor": Tensor, "hom": Hom}[name](first, second)
         if name == "ext":
             self.take("(")
-            t = int(self.take())
+            t = self.number()
             self.take(",")
             inner = self.expr()
             self.take(")")
             return Ext(t, inner)
         if name == "lie":
             self.take("(")
-            n = int(self.take())
+            n = self.number()
             self.take(")")
             return LieLayer(n)
         raise ValueError(f"unknown module constructor {name!r}")

@@ -66,12 +66,35 @@ def poly_mul(a: dict, b: dict, max_deg: int) -> dict:
     return out
 
 
-def poly_truncate(a: dict, max_deg: int) -> dict:
-    return {w: c for w, c in a.items() if len(w) <= max_deg}
-
-
 def poly_component(a: dict, n: int) -> dict:
     return {w: c for w, c in a.items() if len(w) == n}
+
+
+def poly_substitute(poly: dict, letter_images, max_deg: int) -> dict:
+    """Ring substitution X_i -> letter_images[i - 1], truncated at max_deg.
+
+    Each word's image is the image of its prefix times the image of its last
+    letter, so words sharing a prefix share that product.
+    """
+    prefix_cache: dict = {(): {(): 1}}
+
+    def substituted(word: tuple) -> dict:
+        cached = prefix_cache.get(word)
+        if cached is None:
+            cached = poly_mul(substituted(word[:-1]), letter_images[word[-1] - 1], max_deg)
+            prefix_cache[word] = cached
+        return cached
+
+    out: dict = {}
+    get = out.get
+    for word, coeff in poly.items():
+        for w, c in substituted(word).items():
+            s = get(w, 0) + coeff * c
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
 
 
 def poly_unit_inverse(a: dict, max_deg: int) -> dict:
@@ -132,38 +155,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, rank: int, class_bound: int) -> "TruncatedSeries":
         return cls(rank, class_bound, {(): 1})
-
-    def _check(self, other: "TruncatedSeries"):
-        if (self.rank, self.class_bound) != (other.rank, other.class_bound):
-            raise ValueError("rank/class mismatch")
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.rank,
-            self.class_bound,
-            poly_mul(self.coefficients, other.coefficients, self.class_bound),
-        )
-
-    def inverse(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.rank,
-            self.class_bound,
-            poly_unit_inverse(self.coefficients, self.class_bound),
-        )
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.rank,
-            self.class_bound,
-            poly_unit_pow(self.coefficients, e, self.class_bound),
-        )
-
-    def component(self, n: int) -> dict:
-        return poly_component(self.coefficients, n)
-
-    def constant_term(self) -> int:
-        return self.coefficients.get((), 0)
 
     def __eq__(self, other) -> bool:
         return (

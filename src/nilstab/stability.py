@@ -22,7 +22,7 @@ from math import comb
 
 from . import intlinalg
 from .autos import HomMap, endo_from_matrix, lift_to_class, sharp
-from .intlinalg import FinAbPresentation, Matrix, cokernel_presentation, lattice_basis
+from .intlinalg import FinAbPresentation, cokernel_presentation, lattice_basis
 from .modules import ModuleSpec, _block_embed, eval_module, kernel_homology_module
 from .words import witt_rank
 
@@ -95,21 +95,30 @@ def _coinv(action_matrices, dim: int) -> _Coinv:
     return _Coinv(dim, basis, cokernel_presentation(basis, dim))
 
 
-def _induced_iso(f_matrix: Matrix | None, source: _Coinv, target: _Coinv) -> bool:
-    """Whether f (None: the identity) induces an isomorphism of the presented cokernels.
+def _induced_iso(stab_index: tuple | None, source: _Coinv, target: _Coinv) -> bool:
+    """Whether the basis inclusion sending source coordinate j to target
+    coordinate stab_index[j] (None: the identity) induces an isomorphism of
+    the presented cokernels.
 
-    Needs f(lattice) inside the target lattice; then iso = same type + onto, and
-    onto means f(Z^source) + lattice has index 1.  The identity is always onto.
+    Needs the image of the lattice inside the target lattice; then iso = same
+    type + onto, and onto means the image coordinates plus the lattice have
+    index 1.  The identity is always onto.
     """
     if source.presentation != target.presentation:
         return False
     for col in source.lattice:
-        image = col if f_matrix is None else intlinalg.matvec(f_matrix, col)
+        if stab_index is None:
+            image = col
+        else:
+            image = [0] * target.dim
+            for i, x in zip(stab_index, col):
+                image[i] = x
         if any(image) and not intlinalg.lattice_contains(target.lattice, image):
             raise AssertionError("comparison map does not respect the relation lattices")
-    if f_matrix is None:
+    if stab_index is None:
         return True
-    span = lattice_basis(intlinalg.transpose(f_matrix, source.dim) + target.lattice, target.dim)
+    units = [tuple(1 if k == i else 0 for k in range(target.dim)) for i in stab_index]
+    span = lattice_basis(units + list(target.lattice), target.dim)
     return intlinalg.lattice_index(span, target.dim) == 1
 
 
@@ -198,9 +207,9 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
         # middle term: the smaller group, acting on the stabilized coefficients
         mid = [mod_next.action(_block_embed(a)) for a in gl_generators(r)]
         coinv_mid = _coinv(mid, mod_next.rank)
-        stab_leg = _induced_iso(mod.stab, coinv_r, coinv_mid)
+        stab_leg = _induced_iso(mod.stab_index, coinv_r, coinv_mid)
         group_leg = _induced_iso(None, coinv_mid, coinv_next)
-        composite = _induced_iso(mod.stab, coinv_r, coinv_next)
+        composite = _induced_iso(mod.stab_index, coinv_r, coinv_next)
         iso_flags[r] = composite
         entries.append(ScanEntry(r, coinv_r.presentation, composite, stab_leg, group_leg))
 

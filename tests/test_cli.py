@@ -192,11 +192,25 @@ SCAN_GOLDEN = [
         "  r=4: H_0 = 0\n"
         "  stabilized from r = 2\n",
     ),
+    (
+        [
+            "scan", "--spec", "hom(hom(std, dual), std)", "-c", "1", "-r", "1..4",
+            "--format", "text", "--allow-unstable",
+        ],
+        "scan hom(hom(std, dual), std) at class 1\n"
+        "  r=1: H_0 = Z/2; map to r=2 iso: False (coefficient leg False, group leg False)\n"
+        "  r=2: H_0 = Z/2; map to r=3 iso: False (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = Z/2; map to r=4 iso: False (coefficient leg False, group leg False)\n"
+        "  r=4: H_0 = 0\n"
+        "  not stabilized in range\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, expected", SCAN_GOLDEN, ids=["readme-json", "readme-csv", "readme-text", "std-text"]
+    "argv, expected",
+    SCAN_GOLDEN,
+    ids=["readme-json", "readme-csv", "readme-text", "std-text", "nested-hom-text"],
 )
 def test_scan_golden_output(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
@@ -277,3 +291,47 @@ def test_verify_deterministic_output(capsys):
     _, out1, _ = run(capsys, "verify", "-r", "2", "-c", "2", "--seed", "9")
     _, out2, _ = run(capsys, "verify", "-r", "2", "-c", "2", "--seed", "9")
     assert out1 == out2
+
+
+def _usage_error(result):
+    code, _, err = result
+    return code == 2 and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[2.5]]", "[[true, 0], [0, 3]]", "[[1, 2], [3]]", '[["1"]]', "[[null]]", "[1, 2]"]
+)
+def test_snf_rejects_non_integer_or_ragged_matrices(capsys, matrix):
+    assert _usage_error(run(capsys, "snf", matrix))
+
+
+@pytest.mark.parametrize(
+    "endo",
+    [
+        '{"rank": 2}',
+        "[1]",
+        '{"rank": 2, "class": 1, "images": 5}',
+        '{"rank": 2, "class": 1, "images": [1, 2]}',
+        '{"rank": "2", "class": 1, "images": []}',
+        '{"rank": 2, "class": 1, "images": ['
+        '{"rank": 2, "class": 1, "exponents": [["b", 1.5]]},'
+        '{"rank": 2, "class": 1, "exponents": [["a", 1]]}]}',
+    ],
+)
+def test_aut_lift_rejects_malformed_json(capsys, endo):
+    assert _usage_error(run(capsys, "aut-lift", endo))
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_max_class_env_below_one(capsys, monkeypatch, value):
+    monkeypatch.setenv("NILSTAB_MAX_CLASS", value)
+    argv = ["scan", "--spec", "std", "-c", "1", "-r", "1..2", "--allow-unstable"]
+    for extra in ([], ["--unsafe-bounds"]):
+        result = run(capsys, *argv, *extra)
+        assert _usage_error(result) and "NILSTAB_MAX_CLASS must be >= 1" in result[2]
+
+
+def test_scan_rejects_oversized_spec_number(capsys):
+    spec = "ext(99999999999999999999, std)"
+    result = run(capsys, "scan", "--spec", spec, "-c", "1", "-r", "1..2")
+    assert _usage_error(result) and "module spec" in result[2]

@@ -25,7 +25,7 @@ from nilstab.group import (
     truncate,
 )
 from nilstab.lie import LieElement
-from nilstab.series import TruncatedSeries, poly_mul
+from nilstab.series import TruncatedSeries, poly_add, poly_mul, poly_scale, poly_substitute
 from nilstab.verify import random_group_element
 from nilstab.words import LyndonBasisElement, graded_basis, witt_rank
 
@@ -138,6 +138,31 @@ def test_truncate():
             assert truncate(mul(g, h), cp) == mul(truncate(g, cp), truncate(h, cp))
     with pytest.raises(ValueError):
         truncate(g, 5)
+
+
+def _random_poly(rng, r, max_deg, terms):
+    poly = {}
+    for _ in range(terms):
+        word = tuple(rng.randint(1, r) for _ in range(rng.randint(0, max_deg)))
+        poly[word] = poly.get(word, 0) + rng.randint(-3, 3)
+    return {w: c for w, c in poly.items() if c}
+
+
+def test_poly_substitute_matches_word_by_word_products():
+    rng = random.Random(61)
+    for _ in range(40):
+        r, c = rng.choice(((2, 3), (3, 4), (2, 5)))
+        poly = _random_poly(rng, r, c, 8)
+        images = [_random_poly(rng, r, c, 3) for _ in range(r)]
+        expected: dict = {}
+        for word, coeff in poly.items():
+            product = {(): 1}
+            for x in word:
+                product = poly_mul(product, images[x - 1], c)
+            expected = poly_add(expected, poly_scale(product, coeff))
+        assert poly_substitute(poly, images, c) == expected
+    letters = [{(i,): 1} for i in (1, 2)]
+    assert poly_substitute({(1, 2): 5, (2,): -1}, letters, 1) == {(2,): -1}
 
 
 def test_lcs_degree():

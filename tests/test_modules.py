@@ -38,6 +38,12 @@ ALL_SPECS = [
     LieLayer(2),
     LieLayer(3),
     Hom(Std(), LieLayer(3)),
+    # Hom over a Hom source, Hom over an exterior source, and exterior powers
+    # of Hom: nested constructors whose stabilizations compose the others
+    Hom(Hom(Std(), DualStd()), Std()),
+    Hom(Ext(2, Std()), LieLayer(2)),
+    Ext(2, Hom(Std(), LieLayer(2))),
+    Sum(LieLayer(2), DualStd()),
 ]
 
 
@@ -219,3 +225,64 @@ def test_based_module_json_export():
     assert obj["actions"][0]["action"] == [list(row) for row in m.action(swap)]
     assert len(obj["stab"]) == eval_module(Hom(Std(), LieLayer(2)), 3).rank
     json.dumps(obj)  # serializable as-is
+
+
+def test_stab_is_inclusion_of_basis_labels():
+    for spec in ALL_SPECS:
+        for r in (1, 2, 3):
+            m = eval_module(spec, r)
+            m1 = eval_module(spec, r + 1)
+            assert [m1.basis[i] for i in m.stab_index] == list(m.basis)
+            assert m.stab == tuple(
+                tuple(1 if m.stab_index[j] == i else 0 for j in range(m.rank))
+                for i in range(m1.rank)
+            )
+
+
+# Exports of the nested specs, recorded when the stabilization was still
+# assembled constructor by constructor from kron, compound and block_diag.
+STAB_GOLDEN = [
+    (
+        Hom(Hom(Std(), DualStd()), Std()),
+        '{"actions":[{"action":[[0,0,0,0,0,0,0,1],[0,0,0,0,0,0,1,0],[0,0,0,0,0,1,0,0],[0,'
+        '0,0,0,1,0,0,0],[0,0,0,1,0,0,0,0],[0,0,1,0,0,0,0,0],[0,1,0,0,0,0,0,0],[1,0,0,0,0,'
+        '0,0,0]],"matrix":[[0,1],[1,0]]}],"basis":["(1,((*,1),1))","(1,((*,1),2))","(1,(('
+        '*,2),1))","(1,((*,2),2))","(2,((*,1),1))","(2,((*,1),2))","(2,((*,2),1))","(2,(('
+        '*,2),2))"],"rank_of_group":2,"spec":"hom(hom(std, dual), std)","stab":[[1,0,0,0,'
+        '0,0,0,0],[0,1,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,1,0,0,0,0,0],[0,0,0,1,0,0,0,0]'
+        ',[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,'
+        '0,1,0,0,0],[0,0,0,0,0,1,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,1,0],[0,0,0,0,0,0,0,'
+        '1],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,'
+        '0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,'
+        '0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0]]}'
+    ),
+    (
+        Hom(Ext(2, Std()), LieLayer(2)),
+        '{"actions":[{"action":[[1]],"matrix":[[0,1],[1,0]]}],"basis":["((1,2),(1,2))"],"'
+        'rank_of_group":2,"spec":"hom(ext(2, std), lie(2))","stab":[[1],[0],[0],[0],[0],['
+        '0],[0],[0],[0]]}'
+    ),
+    (
+        Ext(2, Hom(Std(), LieLayer(2))),
+        '{"actions":[{"action":[[-1]],"matrix":[[0,1],[1,0]]}],"basis":["(((1,2),1),((1,2'
+        '),2))"],"rank_of_group":2,"spec":"ext(2, hom(std, lie(2)))","stab":[[1],[0],[0],'
+        '[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],'
+        '[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0],[0]]}'
+    ),
+    (
+        Sum(LieLayer(2), DualStd()),
+        '{"actions":[{"action":[[-1,0,0],[0,0,1],[0,1,0]],"matrix":[[0,1],[1,0]]}],"basis'
+        '":["(L,(1,2))","(R,(*,1))","(R,(*,2))"],"rank_of_group":2,"spec":"sum(lie(2), du'
+        'al)","stab":[[1,0,0],[0,0,0],[0,0,0],[0,1,0],[0,0,1],[0,0,0]]}'
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, expected", STAB_GOLDEN, ids=[str(s) for s, _ in STAB_GOLDEN])
+def test_based_module_json_golden(spec, expected):
+    import json
+
+    from nilstab.modules import based_module_to_json
+
+    obj = based_module_to_json(eval_module(spec, 2), [((0, 1), (1, 0))])
+    assert json.dumps(obj, sort_keys=True, separators=(",", ":")) == expected
