@@ -2,8 +2,8 @@
 
 Subcommands: witt, lyndon, mul, inv, comm, verify, aut-lift, kernel-iso,
 scan, snf.  Exit codes: 0 on success, 1 on a failed verification or an
-unstabilized scan, 2 on usage errors (bad bounds, parse errors).  Output is
-deterministic for a fixed configuration and seed.
+unstabilized scan, 2 on usage errors (bad bounds, parse errors), 3 on a broken
+internal invariant.  Output is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from . import intlinalg, verify
 from .autos import endo_from_json, endo_to_json, is_automorphism, lift_to_class, project
 from .group import comm as group_comm
 from .group import element_to_json, element_to_text, inv as group_inv
-from .group import magnus_embed, mul as group_mul, parse_element
-from .modules import parse_module_spec
+from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
+from .lie import LieSpanError
+from .modules import LieLayer, ModuleSpec, parse_module_spec
 from .series import poly_group_commutator, poly_mul, poly_unit_inverse
 from .stability import stability_scan
 from .verify import check_action_remark, check_aut_extension
@@ -240,8 +241,7 @@ def cmd_aut_lift(args) -> int:
     while check.class_bound > endo.class_bound:
         check = project(check)
     if check != endo:
-        print("internal error: projection of the lift is not the input", file=sys.stderr)
-        return 1
+        raise AssertionError("projection of the lift is not the input")
     print(_emit_json(endo_to_json(lifted)))
     return 0
 
@@ -263,18 +263,28 @@ def cmd_kernel_iso(args) -> int:
     return 0 if ok else 1
 
 
+def _lie_degrees(spec):
+    if isinstance(spec, LieLayer):
+        yield spec.degree
+    for part in vars(spec).values():
+        if isinstance(part, ModuleSpec):
+            yield from _lie_degrees(part)
+
+
 def cmd_scan(args) -> int:
     try:
         spec = parse_module_spec(args.spec)
     except ValueError as err:
         raise UsageError(f"bad module spec: {err}") from None
     ranks = _parse_range(args.range)
-    CommandConfig(
+    cfg = CommandConfig(
         rank=max(ranks),
         class_bound=args.class_bound,
         unsafe_bounds=args.unsafe_bounds,
         max_class=_max_class_from_env(),
     )
+    if max(_lie_degrees(spec), default=0) > cfg.max_class and not args.unsafe_bounds:
+        raise UsageError("lie degree exceeds the class bound; use --unsafe-bounds")
     report = stability_scan(spec, args.class_bound, ranks)
     if args.format == "json":
         print(report.to_json())
@@ -292,7 +302,6 @@ def cmd_snf(args) -> int:
     if not (
         isinstance(obj, list)
         and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
-        and all(type(x) is int for row in obj for x in row)
     ):
         raise UsageError("snf expects a JSON list of equal-length rows of integers")
     matrix = intlinalg.freeze(obj)
@@ -409,14 +418,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except (AssertionError, NotAGroupElement, LieSpanError) as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except json.JSONDecodeError as err:
         print(f"error: bad JSON input ({err})", file=sys.stderr)
+        return 2
+    except (UsageError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

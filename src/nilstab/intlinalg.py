@@ -14,7 +14,11 @@ Matrix = tuple  # tuple of row tuples of int
 
 
 def freeze(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Immutable copy of a matrix; any entry that is not an int (bool too) is a ValueError."""
+    out = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in out for x in row):
+        raise ValueError("matrix entries must be integers")
+    return out
 
 
 def identity(n: int) -> Matrix:
@@ -96,20 +100,11 @@ def minor(a: Matrix, rows, cols) -> int:
 
 
 def int_inverse(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix (adjugate over det = +-1)."""
-    n = len(a)
-    d = det(a)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not invertible over the integers (det={d})")
-    if n == 1:
-        return ((d,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows = tuple(k for k in range(n) if k != i)
-        for j in range(n):
-            cols = tuple(k for k in range(n) if k != j)
-            adj[j][i] = (-1) ** (i + j) * minor(a, rows, cols)
-    return freeze([[x // d for x in row] for row in adj])
+    """Inverse of a unimodular integer matrix: U*A*V = I gives A^-1 = V*U."""
+    res = snf(a)
+    if res.D != identity(len(a)):
+        raise ValueError(f"matrix is not invertible over the integers (det={det(a)})")
+    return matmul(res.V, res.U)
 
 
 def compound(a: Matrix, t: int, nrows: int, ncols: int) -> Matrix:
@@ -319,41 +314,38 @@ def lattice_basis(cols, dim: int) -> list:
     return [tuple(pivots[r]) for r in sorted(pivots)]
 
 
+def _pivots(basis_cols) -> dict:
+    """Echelon columns keyed by the row of their first nonzero entry."""
+    return {next(i for i, x in enumerate(col) if x != 0): col for col in basis_cols}
+
+
+def _reduce(pivots: dict, vec) -> list:
+    """Remainder of vec after subtracting floor-quotient multiples of the
+    pivot columns (row -> column), top row first."""
+    c = list(vec)
+    for row in sorted(pivots):
+        q = c[row] // pivots[row][row]
+        if q != 0:
+            c = [ci - q * pi for ci, pi in zip(c, pivots[row])]
+    return c
+
+
 def lattice_contains(basis_cols, vec) -> bool:
     """Membership test against an echelon basis as produced by lattice_basis."""
-    c = list(vec)
-    by_pivot = {}
-    for col in basis_cols:
-        lead = next(i for i, x in enumerate(col) if x != 0)
-        by_pivot[lead] = col
-    for row in range(len(c)):
-        if c[row] == 0:
-            continue
-        p = by_pivot.get(row)
-        if p is None or c[row] % p[row] != 0:
-            return False
-        q = c[row] // p[row]
-        c = [ci - q * pi for ci, pi in zip(c, p)]
-    return True
-
-
-def lattice_index(basis_cols, dim: int) -> int:
-    """Index in Z^dim of the lattice with this echelon basis (as produced by
-    lattice_basis); 0 when the lattice has lower rank."""
-    if len(basis_cols) < dim:
-        return 0
-    index = 1
-    for col in basis_cols:
-        index *= abs(next(x for x in col if x != 0))
-    return index
+    return not any(_reduce(_pivots(basis_cols), vec))
 
 
 def cokernel_presentation(cols, dim: int) -> FinAbPresentation:
-    """Presentation of Z^dim modulo the lattice spanned by the given columns."""
+    """Presentation of Z^dim modulo the lattice spanned by the given columns.
+
+    Echelon columns with pivot +-1, completed by unit vectors, are a basis of
+    Z^dim, so they are reduced out of the rest and dropped with their rows;
+    the Smith form sees only the rows that this residual still touches.
+    """
     basis = lattice_basis(cols, dim)
-    if not basis:
-        return FinAbPresentation(dim, ())
-    mat = tuple(tuple(col[i] for col in basis) for i in range(dim))
-    res = snf(mat)
-    nonzero = res.invariant_factors()
-    return FinAbPresentation(dim - len(nonzero), tuple(d for d in nonzero if d > 1))
+    pivots = _pivots(basis)
+    units = {i: col for i, col in pivots.items() if abs(col[i]) == 1}
+    residual = [_reduce(units, col) for i, col in pivots.items() if i not in units]
+    rows = sorted({i for col in residual for i, x in enumerate(col) if x != 0})
+    factors = snf(tuple(tuple(col[i] for col in residual) for i in rows)).invariant_factors()
+    return FinAbPresentation(dim - len(basis), tuple(d for d in factors if d > 1))

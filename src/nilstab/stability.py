@@ -72,7 +72,7 @@ def coinvariants(action_matrices, ambient_rank: int) -> FinAbPresentation:
     for g in matrices:
         if len(g) != ambient_rank or any(len(row) != ambient_rank for row in g):
             raise ValueError("action matrix has wrong size")
-    return _coinv(matrices, ambient_rank).presentation
+    return _coinv([intlinalg.freeze(g) for g in matrices], ambient_rank).presentation
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def _induced_iso(stab_index: tuple | None, source: _Coinv, target: _Coinv) -> bo
     the presented cokernels.
 
     Needs the image of the lattice inside the target lattice; then iso = same
-    type + onto, and onto means the image coordinates plus the lattice have
-    index 1.  The identity is always onto.
+    type + onto, and onto means the image coordinates plus the lattice leave
+    a trivial cokernel.  The identity is always onto.
     """
     if source.presentation != target.presentation:
         return False
@@ -118,8 +118,7 @@ def _induced_iso(stab_index: tuple | None, source: _Coinv, target: _Coinv) -> bo
     if stab_index is None:
         return True
     units = [tuple(1 if k == i else 0 for k in range(target.dim)) for i in stab_index]
-    span = lattice_basis(units + list(target.lattice), target.dim)
-    return intlinalg.lattice_index(span, target.dim) == 1
+    return cokernel_presentation(units + list(target.lattice), target.dim).is_trivial()
 
 
 @dataclass(frozen=True)

@@ -335,3 +335,41 @@ def test_scan_rejects_oversized_spec_number(capsys):
     spec = "ext(99999999999999999999, std)"
     result = run(capsys, "scan", "--spec", spec, "-c", "1", "-r", "1..2")
     assert _usage_error(result) and "module spec" in result[2]
+
+
+@pytest.mark.parametrize("spec", ["lie(7)", "hom(std, tensor(dual, lie(7)))"])
+def test_scan_bounds_lie_degree_by_class_bound(capsys, monkeypatch, spec):
+    argv = ["scan", "--spec", spec, "-c", "1", "-r", "1..1", "--allow-unstable"]
+    result = run(capsys, *argv)
+    assert _usage_error(result) and "lie degree" in result[2]
+    assert run(capsys, *argv, "--unsafe-bounds")[0] == 0
+    monkeypatch.setenv("NILSTAB_MAX_CLASS", "7")
+    assert run(capsys, *argv)[0] == 0
+
+
+def _internal_error(result):
+    code, _, err = result
+    return code == 3 and err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_broken_peel_is_an_internal_error(capsys, monkeypatch):
+    from nilstab.group import NotAGroupElement
+
+    def broken(*args):
+        raise NotAGroupElement("nonzero residual after peeling all degrees")
+
+    monkeypatch.setattr("nilstab.group._peel", broken)
+    assert _internal_error(run(capsys, "mul", "-r", "2", "-c", "2", "a", "b"))
+
+
+def test_failed_assertion_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("comparison map does not respect the relation lattices")
+
+    monkeypatch.setattr("nilstab.cli.stability_scan", broken)
+    assert _internal_error(run(capsys, "scan", "--spec", "std", "-c", "1", "-r", "1..2"))
+
+
+def test_snf_reports_bad_json(capsys):
+    result = run(capsys, "snf", "[[1,2")
+    assert _usage_error(result) and "bad JSON input" in result[2]

@@ -2,7 +2,7 @@
 
 import random
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from nilstab.intlinalg import (
     kron,
     lattice_basis,
     lattice_contains,
-    lattice_index,
     matmul,
     snf,
     transpose,
@@ -85,6 +84,23 @@ def test_int_inverse():
             assert matmul(a, int_inverse(a)) == identity(n)
     with pytest.raises(ValueError):
         int_inverse(((2,),))
+
+
+def test_int_inverse_of_gl_generator_products():
+    from nilstab.stability import gl_generators
+
+    rng = random.Random(70)
+    for r in range(1, 7):
+        gens = gl_generators(r)
+        for _ in range(6):
+            a = identity(r)
+            for _ in range(rng.randint(0, 12)):
+                a = matmul(a, rng.choice(gens))
+            inv = int_inverse(a)
+            assert matmul(a, inv) == identity(r) == matmul(inv, a)
+    doubled = freeze([[2 if i == j == 0 else int(i == j) for j in range(3)] for i in range(3)])
+    with pytest.raises(ValueError, match="det=2"):
+        int_inverse(doubled)
 
 
 def test_compound_cauchy_binet():
@@ -158,6 +174,18 @@ def test_snf_large_sparse():
         _check_snf(random_sparse(rng, nrows, ncols, density=0.15), nrows, ncols)
 
 
+def test_snf_determinantal_divisors():
+    """d_1 * ... * d_k is the gcd of the k x k minors, for every k."""
+    rng = random.Random(71)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        a = random_sparse(rng, nrows, ncols, density=rng.choice([0.4, 0.8]), lo=-6, hi=6)
+        diag = snf(a).diagonal()
+        for k in range(1, min(nrows, ncols) + 1):
+            minors = [x for row in compound(a, k, nrows, ncols) for x in row]
+            assert prod(diag[:k]) == gcd(*minors)
+
+
 def test_snf_deterministic():
     rng = random.Random(68)
     a = random_sparse(rng, 6, 6, density=0.6)
@@ -199,34 +227,39 @@ def test_cokernel_presentation():
     assert cokernel_presentation([(1, 0), (0, 1)], 2) == FinAbPresentation(0, ())
     pres = cokernel_presentation([(2, 0), (0, 3)], 2)
     assert pres == FinAbPresentation(0, (6,))  # Z/2 + Z/3 collapses to Z/6
+    assert cokernel_presentation([(2, 0), (0, 2), (1, 1)], 2) == FinAbPresentation(0, (2,))
+    assert cokernel_presentation([(1, 1)], 2) == FinAbPresentation(1, ())  # rank 1 in Z^2
 
 
 def test_lattice_index_examples():
-    assert lattice_index(lattice_basis([(2, 0), (0, 3)], 2), 2) == 6
-    assert lattice_index(lattice_basis([(2, 0), (0, 2), (1, 1)], 2), 2) == 2
-    assert lattice_index(lattice_basis([(1, 1)], 2), 2) == 0  # rank 1 in Z^2
-    assert lattice_index([], 0) == 1
+    """The index of a lattice in Z^dim is the order of its cokernel (0 if infinite)."""
+
+    def index(cols, dim):
+        pres = cokernel_presentation(cols, dim)
+        return prod(pres.invariant_factors) if pres.free_rank == 0 else 0
+
+    assert index([(2, 0), (0, 3)], 2) == 6
+    assert index([(2, 0), (0, 2), (1, 1)], 2) == 2
+    assert index([(1, 1)], 2) == 0  # rank 1 in Z^2
+    assert index([], 0) == 1
 
 
-_column_sets = st.integers(0, 4).flatmap(
+_column_sets = st.integers(0, 6).flatmap(
     lambda dim: st.tuples(
         st.just(dim),
-        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=6),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=8),
     )
 )
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_column_sets)
-def test_lattice_index_against_cokernel(case):
+def test_cokernel_presentation_against_dense_snf(case):
+    """Oracle: the Smith form of the whole dim x k relation matrix."""
     dim, cols = case
-    index = lattice_index(lattice_basis(cols, dim), dim)
-    pres = cokernel_presentation(cols, dim)
-    assert (index == 1) == pres.is_trivial()
-    if pres.free_rank == 0:
-        assert index == prod(pres.invariant_factors)
-    else:
-        assert index == 0
+    factors = snf(tuple(tuple(col[i] for col in cols) for i in range(dim))).invariant_factors()
+    expected = FinAbPresentation(dim - len(factors), tuple(d for d in factors if d > 1))
+    assert cokernel_presentation(cols, dim) == expected
 
 
 def test_presentation_str():

@@ -88,6 +88,13 @@ def test_action_multiplicative():
                 assert m.action(matmul(a, b)) == matmul(m.action(a), m.action(b))
 
 
+def test_action_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        eval_module(Std(), 2).action(((1.5, 0), (True, 1)))
+    with pytest.raises(ValueError, match="integers"):
+        eval_module(Std(), 1).action(((True,),))
+
+
 def test_stab_equivariance():
     rng = random.Random(52)
     for spec in ALL_SPECS:

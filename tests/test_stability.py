@@ -88,6 +88,13 @@ def test_coinvariants_gl1_standard():
     assert coinvariants([((-1,),)], 1) == FinAbPresentation(0, (2,))
 
 
+def test_coinvariants_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        coinvariants([((1.9,),)], 1)
+    with pytest.raises(ValueError, match="integers"):
+        coinvariants([((True,),)], 1)
+
+
 def test_coinvariants_gl2_standard_trivial():
     mats = gl_generators(2)
     assert coinvariants(mats, 2) == FinAbPresentation(0, ())
