@@ -20,7 +20,7 @@ from .group import comm as group_comm
 from .group import element_to_json, element_to_text, inv as group_inv
 from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
 from .lie import LieSpanError
-from .modules import LieLayer, ModuleSpec, parse_module_spec
+from .modules import Const, LieLayer, ModuleSpec, parse_module_spec
 from .series import poly_group_commutator, poly_mul, poly_unit_inverse
 from .stability import stability_scan
 from .verify import check_action_remark, check_aut_extension
@@ -28,6 +28,9 @@ from .words import lyndon_words, witt_rank
 
 DEFAULT_MAX_RANK = 6
 DEFAULT_MAX_CLASS = 6
+# largest const(Z^k) that scan accepts without --unsafe-bounds: the rank of the
+# largest module in the benchmark scans, tensor(lie(3), dual) at r = 6
+DEFAULT_MAX_CONST_RANK = 420
 
 
 class UsageError(Exception):
@@ -263,12 +266,11 @@ def cmd_kernel_iso(args) -> int:
     return 0 if ok else 1
 
 
-def _lie_degrees(spec):
-    if isinstance(spec, LieLayer):
-        yield spec.degree
+def _subspecs(spec):
+    yield spec
     for part in vars(spec).values():
         if isinstance(part, ModuleSpec):
-            yield from _lie_degrees(part)
+            yield from _subspecs(part)
 
 
 def cmd_scan(args) -> int:
@@ -283,8 +285,14 @@ def cmd_scan(args) -> int:
         unsafe_bounds=args.unsafe_bounds,
         max_class=_max_class_from_env(),
     )
-    if max(_lie_degrees(spec), default=0) > cfg.max_class and not args.unsafe_bounds:
-        raise UsageError("lie degree exceeds the class bound; use --unsafe-bounds")
+    if not args.unsafe_bounds:
+        parts = list(_subspecs(spec))
+        if max((p.degree for p in parts if isinstance(p, LieLayer)), default=0) > cfg.max_class:
+            raise UsageError("lie degree exceeds the class bound; use --unsafe-bounds")
+        if max((p.rank for p in parts if isinstance(p, Const)), default=0) > DEFAULT_MAX_CONST_RANK:
+            raise UsageError(
+                f"const rank exceeds the bound {DEFAULT_MAX_CONST_RANK}; use --unsafe-bounds"
+            )
     report = stability_scan(spec, args.class_bound, ranks)
     if args.format == "json":
         print(report.to_json())

@@ -315,18 +315,18 @@ def lattice_basis(cols, dim: int) -> list:
 
 
 def _pivots(basis_cols) -> dict:
-    """Echelon columns keyed by the row of their first nonzero entry."""
+    """Pivot table of an echelon basis: each column keyed by its first nonzero row."""
     return {next(i for i, x in enumerate(col) if x != 0): col for col in basis_cols}
 
 
 def _reduce(pivots: dict, vec) -> list:
     """Remainder of vec after subtracting floor-quotient multiples of the
-    pivot columns (row -> column), top row first."""
+    pivot columns (row -> column, in row order), top row first."""
     c = list(vec)
-    for row in sorted(pivots):
-        q = c[row] // pivots[row][row]
+    for row, col in pivots.items():
+        q = c[row] // col[row]
         if q != 0:
-            c = [ci - q * pi for ci, pi in zip(c, pivots[row])]
+            c = [ci - q * pi for ci, pi in zip(c, col)]
     return c
 
 
@@ -335,17 +335,20 @@ def lattice_contains(basis_cols, vec) -> bool:
     return not any(_reduce(_pivots(basis_cols), vec))
 
 
-def cokernel_presentation(cols, dim: int) -> FinAbPresentation:
-    """Presentation of Z^dim modulo the lattice spanned by the given columns.
+def _cokernel(pivots: dict, dim: int) -> FinAbPresentation:
+    """Presentation of Z^dim modulo the lattice of an echelon pivot table.
 
-    Echelon columns with pivot +-1, completed by unit vectors, are a basis of
+    Pivot columns with pivot +-1, completed by unit vectors, are a basis of
     Z^dim, so they are reduced out of the rest and dropped with their rows;
     the Smith form sees only the rows that this residual still touches.
     """
-    basis = lattice_basis(cols, dim)
-    pivots = _pivots(basis)
     units = {i: col for i, col in pivots.items() if abs(col[i]) == 1}
     residual = [_reduce(units, col) for i, col in pivots.items() if i not in units]
     rows = sorted({i for col in residual for i, x in enumerate(col) if x != 0})
     factors = snf(tuple(tuple(col[i] for col in residual) for i in rows)).invariant_factors()
-    return FinAbPresentation(dim - len(basis), tuple(d for d in factors if d > 1))
+    return FinAbPresentation(dim - len(pivots), tuple(d for d in factors if d > 1))
+
+
+def cokernel_presentation(cols, dim: int) -> FinAbPresentation:
+    """Presentation of Z^dim modulo the lattice spanned by the given columns."""
+    return _cokernel(_pivots(lattice_basis(cols, dim)), dim)

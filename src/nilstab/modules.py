@@ -156,8 +156,7 @@ class BasedModule:
             raise ValueError("matrix size does not match the group rank")
         cached = self._action_cache.get(a)
         if cached is None:
-            a_inv = int_inverse(a)
-            cached = _action(self.spec, self.rank_of_group, a, a_inv)
+            cached = _action(self.spec, self.rank_of_group, a)
             self._action_cache[a] = cached
         return cached
 
@@ -196,29 +195,29 @@ def _basis(spec: ModuleSpec, r: int) -> tuple:
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def _action(spec: ModuleSpec, r: int, a: Matrix, a_inv: Matrix) -> Matrix:
+def _action(spec: ModuleSpec, r: int, a: Matrix) -> Matrix:
     if isinstance(spec, Const):
         return intlinalg.identity(spec.rank)
     if isinstance(spec, Std):
         return a
     if isinstance(spec, DualStd):
-        return transpose(a_inv)
+        return transpose(int_inverse(a))
     if isinstance(spec, Sum):
-        left = _action(spec.left, r, a, a_inv)
-        right = _action(spec.right, r, a, a_inv)
+        left = _action(spec.left, r, a)
+        right = _action(spec.right, r, a)
         return intlinalg.block_diag(
             left, right, len(_basis(spec.left, r)), len(_basis(spec.right, r))
         )
     if isinstance(spec, Tensor):
-        return kron(_action(spec.left, r, a, a_inv), _action(spec.right, r, a, a_inv))
+        return kron(_action(spec.left, r, a), _action(spec.right, r, a))
     if isinstance(spec, Ext):
-        inner = _action(spec.inner, r, a, a_inv)
+        inner = _action(spec.inner, r, a)
         n = len(_basis(spec.inner, r))
         return compound(inner, spec.power, n, n)
     if isinstance(spec, Hom):
         # f goes to T(a) f S(a)^-1; row-major vec turns that into T(a) (x) S(a^-1)^T
-        tgt = _action(spec.target, r, a, a_inv)
-        src_inv = _action(spec.source, r, a_inv, a)
+        tgt = _action(spec.target, r, a)
+        src_inv = _action(spec.source, r, int_inverse(a))
         return kron(tgt, transpose(src_inv, len(_basis(spec.source, r))))
     if isinstance(spec, LieLayer):
         return lie_layer_matrix(a, r, spec.degree)
@@ -272,7 +271,7 @@ def based_module_to_json(mod: BasedModule, matrices=()) -> dict:
 
 # --- spec grammar -------------------------------------------------------------
 
-_TOKEN = re.compile(r"\(x\)|[a-z]+|\d+|Z(?:\^\d+)?|[(),]")
+_TOKEN = re.compile(r"\(x\)|[a-z]+|\d+|Z|[\^(),]")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -333,11 +332,13 @@ class _Parser:
             if self.peek() != "(":
                 return Const(1)
             self.take("(")
-            z = self.take()
-            if not re.fullmatch(r"Z(\^\d+)?", z):
-                raise ValueError(f"const takes Z or Z^k, found {z!r}")
+            self.take("Z")
+            k = 1
+            if self.peek() == "^":
+                self.take("^")
+                k = self.number()
             self.take(")")
-            return Const(int(z[2:]) if "^" in z else 1)
+            return Const(k)
         if name == "std":
             return Std()
         if name == "dual":

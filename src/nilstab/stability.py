@@ -8,7 +8,10 @@ coinvariants of the GL_r(Z) generators and their values do not depend on the
 class.  For a consecutive pair of ranks the composite comparison map on
 coinvariants is induced by the module stabilization; it is an isomorphism
 precisely when the two groups are abstractly isomorphic and the map is onto
-(finitely generated abelian groups are Hopfian).  The two factor maps
+(finitely generated abelian groups are Hopfian).  The map includes basis
+coordinates, so it is onto iff the target relations, with those coordinates
+dropped, span the rest.  Each relation lattice is echelonned once, and its
+pivot table serves the presentation and both tests.  The two factor maps
 (coefficient stabilization at a fixed group, then enlarging the group along
 diag(a, 1)) are computed as well and reported as diagnostics.
 """
@@ -23,6 +26,7 @@ from math import comb
 from . import intlinalg
 from .autos import HomMap, endo_from_matrix, lift_to_class, sharp
 from .intlinalg import FinAbPresentation, cokernel_presentation, lattice_basis
+from .intlinalg import _cokernel, _pivots, _reduce
 from .modules import ModuleSpec, _block_embed, eval_module, kernel_homology_module
 from .words import witt_rank
 
@@ -77,10 +81,10 @@ def coinvariants(action_matrices, ambient_rank: int) -> FinAbPresentation:
 
 @dataclass(frozen=True)
 class _Coinv:
-    """A coinvariant group with its relation lattice kept for map computations."""
+    """A coinvariant group with the pivot table of its relation lattice."""
 
     dim: int
-    lattice: tuple  # echelon basis columns
+    pivots: dict  # echelon pivot row -> column, in row order
     presentation: FinAbPresentation
 
 
@@ -91,34 +95,30 @@ def _coinv(action_matrices, dim: int) -> _Coinv:
             col = list(col)
             col[j] -= 1
             cols.append(tuple(col))
-    basis = tuple(lattice_basis(cols, dim))
-    return _Coinv(dim, basis, cokernel_presentation(basis, dim))
+    pivots = _pivots(lattice_basis(cols, dim))
+    return _Coinv(dim, pivots, _cokernel(pivots, dim))
 
 
-def _induced_iso(stab_index: tuple | None, source: _Coinv, target: _Coinv) -> bool:
+def _induced_iso(stab_index: tuple, source: _Coinv, target: _Coinv) -> bool:
     """Whether the basis inclusion sending source coordinate j to target
-    coordinate stab_index[j] (None: the identity) induces an isomorphism of
-    the presented cokernels.
+    coordinate stab_index[j] induces an isomorphism of the presented cokernels.
 
-    Needs the image of the lattice inside the target lattice; then iso = same
-    type + onto, and onto means the image coordinates plus the lattice leave
-    a trivial cokernel.  The identity is always onto.
+    Needs the image of the source lattice inside the target lattice; then
+    iso = same type + onto.  The image is generated by the classes of the
+    unit vectors e_i, i in stab_index, so onto means Z^dim / (L + span e_i)
+    = 0, and that quotient is Z^rest / pi(L), pi dropping the stab_index rows.
     """
     if source.presentation != target.presentation:
         return False
-    for col in source.lattice:
-        if stab_index is None:
-            image = col
-        else:
-            image = [0] * target.dim
-            for i, x in zip(stab_index, col):
-                image[i] = x
-        if any(image) and not intlinalg.lattice_contains(target.lattice, image):
+    for col in source.pivots.values():
+        image = [0] * target.dim
+        for i, x in zip(stab_index, col):
+            image[i] = x
+        if any(_reduce(target.pivots, image)):
             raise AssertionError("comparison map does not respect the relation lattices")
-    if stab_index is None:
-        return True
-    units = [tuple(1 if k == i else 0 for k in range(target.dim)) for i in stab_index]
-    return cokernel_presentation(units + list(target.lattice), target.dim).is_trivial()
+    rest = sorted(set(range(target.dim)).difference(stab_index))
+    projected = [tuple(col[i] for i in rest) for col in target.pivots.values()]
+    return cokernel_presentation(projected, len(rest)).is_trivial()
 
 
 @dataclass(frozen=True)
@@ -207,23 +207,17 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
         mid = [mod_next.action(_block_embed(a)) for a in gl_generators(r)]
         coinv_mid = _coinv(mid, mod_next.rank)
         stab_leg = _induced_iso(mod.stab_index, coinv_r, coinv_mid)
-        group_leg = _induced_iso(None, coinv_mid, coinv_next)
+        group_leg = _induced_iso(tuple(range(mod_next.rank)), coinv_mid, coinv_next)
         composite = _induced_iso(mod.stab_index, coinv_r, coinv_next)
         iso_flags[r] = composite
         entries.append(ScanEntry(r, coinv_r.presentation, composite, stab_leg, group_leg))
 
     stabilized_from = None
-    pair_ranks = [r for r in ranks[:-1] if r + 1 in ranks]
-    if pair_ranks and all(r in iso_flags for r in pair_ranks):
-        candidate = None
-        for r in reversed(pair_ranks):
-            if iso_flags[r]:
-                candidate = r
-            else:
-                break
-        stabilized_from = candidate
-    spec_text = str(spec)
-    return ScanReport(spec_text, c, tuple(entries), stabilized_from)
+    for r in reversed([r for r in ranks[:-1] if r + 1 in ranks]):
+        if not iso_flags[r]:
+            break
+        stabilized_from = r
+    return ScanReport(str(spec), c, tuple(entries), stabilized_from)
 
 
 def kernel_homology_rank(c: int, t: int, coefficients: ModuleSpec, r: int) -> int:

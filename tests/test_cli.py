@@ -347,6 +347,26 @@ def test_scan_bounds_lie_degree_by_class_bound(capsys, monkeypatch, spec):
     assert run(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("const(Z^421)", "const rank"),
+        ("tensor(std, const(Z^500))", "const rank"),
+        ("const(Z^99999999999999999999)", "too large"),
+    ],
+)
+def test_scan_bounds_const_rank(capsys, spec, message):
+    result = run(capsys, "scan", "--spec", spec, "-c", "1", "-r", "1", "--allow-unstable")
+    assert _usage_error(result) and message in result[2]
+
+
+def test_scan_const_rank_at_the_bound_and_unsafe(capsys):
+    argv = ["scan", "-c", "1", "-r", "1", "--allow-unstable"]
+    assert run(capsys, *argv, "--spec", "const(Z^420)")[0] == 0
+    code, out, _ = run(capsys, *argv, "--spec", "const(Z^421)", "--unsafe-bounds")
+    assert code == 0 and "H_0 = Z^421" in out
+
+
 def _internal_error(result):
     code, _, err = result
     return code == 3 and err.startswith("internal error: ") and len(err.strip().splitlines()) == 1

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from nilstab import modules
 from nilstab.autos import Endo, endo_from_images
 from nilstab.group import parse_element
 from nilstab.intlinalg import identity, matmul
 from nilstab.modules import (
+    BasedModule,
     Const,
     DualStd,
     Ext,
@@ -93,6 +95,19 @@ def test_action_rejects_non_integer_entries():
         eval_module(Std(), 2).action(((1.5, 0), (True, 1)))
     with pytest.raises(ValueError, match="integers"):
         eval_module(Std(), 1).action(((True,),))
+
+
+@pytest.mark.parametrize("spec", [Std(), LieLayer(2), Tensor(Std(), LieLayer(2))], ids=str)
+def test_action_without_dual_never_inverts(monkeypatch, spec):
+    a = ((1, 1, 0), (0, 0, 1), (0, 1, 0))
+    expected = BasedModule(spec, 3).action(a)
+
+    def refuse(_):
+        raise AssertionError("int_inverse called")
+
+    monkeypatch.setattr(modules, "int_inverse", refuse)
+    eval_module.cache_clear()
+    assert eval_module(spec, 3).action(a) == expected
 
 
 def test_stab_equivariance():

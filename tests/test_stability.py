@@ -3,9 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilstab import intlinalg, stability
 from nilstab.autos import abelianization_matrix, is_automorphism, project, stabilize, Endo
-from nilstab.intlinalg import FinAbPresentation, det, identity, lattice_basis, lattice_contains
+from nilstab.intlinalg import (
+    FinAbPresentation,
+    cokernel_presentation,
+    det,
+    identity,
+    lattice_basis,
+    lattice_contains,
+)
 from nilstab.modules import (
     Const,
     DualStd,
@@ -20,6 +30,9 @@ from nilstab.modules import (
     restrict_action,
 )
 from nilstab.stability import (
+    _Coinv,
+    _coinv,
+    _induced_iso,
     aut_generators,
     coinvariants,
     gl_generators,
@@ -244,3 +257,53 @@ def test_scan_middle_term_diagnostics():
     assert entry.map_to_next_is_iso is True
     assert entry.stab_leg_is_iso is False
     assert entry.group_leg_is_iso is False
+
+
+_onto_cases = st.integers(1, 7).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=8),
+        st.lists(st.integers(0, dim - 1), unique=True),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_onto_cases)
+def test_onto_by_projection_matches_unit_vectors(case):
+    """Z^dim / (L + span e_i, i in S) is Z^rest / pi(L), pi dropping the rows in S;
+    oracle: the unit vectors stacked onto the echelon basis of L."""
+    dim, cols, stab_index = case
+    basis = lattice_basis(cols, dim)
+    units = [tuple(int(k == i) for k in range(dim)) for i in stab_index]
+    expected = cokernel_presentation(units + basis, dim)
+    rest = [i for i in range(dim) if i not in stab_index]
+    projected = [tuple(col[i] for i in rest) for col in basis]
+    assert cokernel_presentation(projected, len(rest)) == expected
+    # the scan's onto test, from a source with the zero lattice and the same type
+    target = _Coinv(dim, intlinalg._pivots(basis), cokernel_presentation(cols, dim))
+    source = _Coinv(len(stab_index), {}, target.presentation)
+    assert _induced_iso(tuple(stab_index), source, target) is expected.is_trivial()
+
+
+def test_coinv_echelons_once(monkeypatch):
+    calls = []
+
+    def counted(cols, dim):
+        calls.append(dim)
+        return lattice_basis(cols, dim)
+
+    monkeypatch.setattr(intlinalg, "lattice_basis", counted)
+    monkeypatch.setattr(stability, "lattice_basis", counted)
+    mod = eval_module(Tensor(Std(), DualStd()), 3)
+    coinv = _coinv([mod.action(a) for a in gl_generators(3)], mod.rank)
+    assert calls == [9] and coinv.presentation == FinAbPresentation(1, ())
+
+
+def test_scan_never_calls_lattice_contains(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("lattice_contains called")
+
+    monkeypatch.setattr(intlinalg, "lattice_contains", refuse)
+    rep = stability_scan(Tensor(Std(), DualStd()), 1, range(1, 5))
+    assert [e.map_to_next_is_iso for e in rep.entries] == [True, True, True, None]
