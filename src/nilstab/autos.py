@@ -270,7 +270,8 @@ def hom_gl_action(a, beta: HomMap) -> HomMap:
     """Action of a GL matrix on a HomMap: top-layer action of a, then a^-1 on sources."""
     from .lie import lie_layer_matrix
 
-    layer = lie_layer_matrix(a, beta.rank, beta.class_of_target)
+    cols = lie_layer_matrix(a, beta.rank, beta.class_of_target)
+    layer = intlinalg.dense_matrix(cols, len(cols))
     a_inv = intlinalg.int_inverse(a)
     new_matrix = intlinalg.matmul(intlinalg.matmul(layer, beta.matrix), a_inv)
     return HomMap(beta.rank, beta.class_of_target, new_matrix)

@@ -20,7 +20,7 @@ from .group import comm as group_comm
 from .group import element_to_json, element_to_text, inv as group_inv
 from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
 from .lie import LieSpanError
-from .modules import Const, LieLayer, ModuleSpec, parse_module_spec
+from .modules import Const, LieLayer, ModuleSpec, module_rank, parse_module_spec
 from .series import poly_group_commutator, poly_mul, poly_unit_inverse
 from .stability import stability_scan
 from .verify import check_action_remark, check_aut_extension
@@ -31,6 +31,8 @@ DEFAULT_MAX_CLASS = 6
 # largest const(Z^k) that scan accepts without --unsafe-bounds: the rank of the
 # largest module in the benchmark scans, tensor(lie(3), dual) at r = 6
 DEFAULT_MAX_CONST_RANK = 420
+# largest module rank that scan accepts without --unsafe-bounds, for the same reason
+DEFAULT_MAX_MODULE_RANK = 420
 
 
 class UsageError(Exception):
@@ -293,6 +295,15 @@ def cmd_scan(args) -> int:
             raise UsageError(
                 f"const rank exceeds the bound {DEFAULT_MAX_CONST_RANK}; use --unsafe-bounds"
             )
+        # every part's basis and action is built, and ranks never fall with r;
+        # reversed, each part comes after the parts inside it, so no closed
+        # form takes comb of an unbounded inner rank
+        for part in reversed(parts):
+            if module_rank(part, cfg.rank) > DEFAULT_MAX_MODULE_RANK:
+                raise UsageError(
+                    f"module rank of {part} at r={cfg.rank} exceeds the bound "
+                    f"{DEFAULT_MAX_MODULE_RANK}; use --unsafe-bounds"
+                )
     report = stability_scan(spec, args.class_bound, ranks)
     if args.format == "json":
         print(report.to_json())

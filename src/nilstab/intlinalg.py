@@ -1,12 +1,16 @@
 """Exact integer linear algebra on unbounded integers.
 
-Matrices are immutable tuples of row tuples.  Everything here is exact: no
-floats, no overflow.  The Smith normal form uses a smallest-nonzero-pivot
-rule with column-then-row elimination, so its output is deterministic.
+Matrices are immutable tuples of row tuples.  A sparse column is a tuple of
+(row, value) pairs in row order with no zero values; module actions are
+tuples of sparse columns, and relation lattices are spanned by them.  Both
+forms are hashable and immutable.  Everything here is exact: no floats, no
+overflow.  The Smith normal form uses a smallest-nonzero-pivot rule with
+column-then-row elimination, so its output is deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -56,6 +60,8 @@ def matvec(a: Matrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+# kron, block_diag and compound (with minor) are the dense reference that the
+# tests hold the sparse module actions to; the library builds actions sparse.
 def kron(a: Matrix, b: Matrix) -> Matrix:
     out = []
     for ra in a:
@@ -67,6 +73,65 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def block_diag(a: Matrix, b: Matrix, a_cols: int, b_cols: int) -> Matrix:
     out = [row + (0,) * b_cols for row in a]
     out += [(0,) * a_cols + row for row in b]
+    return tuple(out)
+
+
+def sparse_columns(a: Matrix) -> tuple:
+    """The columns of a dense matrix as sparse columns."""
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*a))
+
+
+def dense_matrix(cols, nrows: int) -> Matrix:
+    """The dense matrix with the given sparse columns."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i][j] = x
+    return freeze(rows)
+
+
+def sparse_transpose(cols, nrows: int) -> tuple:
+    """Sparse columns of the transpose: column i collects row i."""
+    rows = [[] for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i].append((j, x))
+    return tuple(map(tuple, rows))
+
+
+def sparse_kron(a, b) -> tuple:
+    """Kronecker product of two square matrices given by sparse columns."""
+    n = len(b)
+    return tuple(
+        tuple((i * n + k, x * y) for i, x in col_a for k, y in col_b)
+        for col_a in a
+        for col_b in b
+    )
+
+
+def sparse_compound(cols, t: int) -> tuple:
+    """t-th compound of a square matrix given by sparse columns.
+
+    Column S (a t-subset, in combinations order) is the wedge of the columns
+    in S: each product of entries lands on the sorted row set, with the sign
+    of the sort, so the entry at row set R is the minor (R, S).
+    """
+    index = {s: k for k, s in enumerate(combinations(range(len(cols)), t))}
+    out = []
+    for s in index:
+        wedge = {(): 1}
+        for j in s:
+            step: dict = {}
+            for rows, v in wedge.items():
+                for i, x in cols[j]:
+                    k = bisect_left(rows, i)
+                    if k < len(rows) and rows[k] == i:
+                        continue
+                    key = rows[:k] + (i,) + rows[k:]
+                    # e_i moves left past the len(rows) - k larger rows
+                    step[key] = step.get(key, 0) + (-v * x if (len(rows) - k) % 2 else v * x)
+            wedge = step
+        out.append(tuple(sorted((index[rows], v) for rows, v in wedge.items() if v)))
     return tuple(out)
 
 
@@ -273,45 +338,57 @@ class FinAbPresentation:
         return " + ".join(parts) if parts else "0"
 
 
-def _reduce_column(pivots: dict, col) -> None:
-    """Fold one column into an echelon pivot table, preserving the lattice."""
-    c = list(col)
-    n = len(c)
-    row = 0
-    while row < n:
-        if c[row] == 0:
-            row += 1
-            continue
+def _add_multiple(c: dict, q: int, p: dict) -> None:
+    """c += q * p in place, for columns held as row -> nonzero value."""
+    for i, y in p.items():
+        z = c.get(i, 0) + q * y
+        if z:
+            c[i] = z
+        else:
+            c.pop(i, None)
+
+
+def _reduce_column(pivots: dict, c: dict) -> None:
+    """Fold one column (row -> nonzero value) into an echelon pivot table,
+    preserving the lattice.  Rows are visited top down; each step clears the
+    top row of c, which the pivot there shares."""
+    while c:
+        row = min(c)
         p = pivots.get(row)
         if p is None:
             pivots[row] = c
             return
         a, b = p[row], c[row]
         if b % a == 0:
-            q = b // a
-            c = [ci - q * pi for ci, pi in zip(c, p)]
+            _add_multiple(c, -(b // a), p)
         else:
             x, y, g = xgcd(a, b)
-            newp = [x * pi + y * ci for pi, ci in zip(p, c)]
-            newc = [(a // g) * ci - (b // g) * pi for pi, ci in zip(p, c)]
-            pivots[row] = newp
-            c = newc
-        row += 1
+            new_p = {i: x * v for i, v in p.items()} if x else {}
+            _add_multiple(new_p, y, c)
+            c = {i: (a // g) * v for i, v in c.items()}
+            _add_multiple(c, -(b // g), p)
+            pivots[row] = new_p
 
 
 def lattice_basis(cols, dim: int) -> list:
-    """Echelon basis (as column tuples) of the lattice spanned by cols in Z^dim."""
+    """Echelon basis (as dense column tuples, by pivot row) of the lattice
+    spanned by the sparse columns cols in Z^dim."""
     pivots: dict = {}
     seen = set()
     for col in cols:
-        col = tuple(col)
-        if len(col) != dim:
-            raise ValueError("column has wrong dimension")
-        if col in seen or not any(col):
+        if not col or col in seen:
             continue
+        if col[0][0] < 0 or col[-1][0] >= dim:
+            raise ValueError("column has wrong dimension")
         seen.add(col)
-        _reduce_column(pivots, col)
-    return [tuple(pivots[r]) for r in sorted(pivots)]
+        _reduce_column(pivots, dict(col))
+    basis = []
+    for row in sorted(pivots):
+        dense = [0] * dim
+        for i, x in pivots[row].items():
+            dense[i] = x
+        basis.append(tuple(dense))
+    return basis
 
 
 def _pivots(basis_cols) -> dict:
@@ -350,5 +427,5 @@ def _cokernel(pivots: dict, dim: int) -> FinAbPresentation:
 
 
 def cokernel_presentation(cols, dim: int) -> FinAbPresentation:
-    """Presentation of Z^dim modulo the lattice spanned by the given columns."""
+    """Presentation of Z^dim modulo the lattice spanned by the given sparse columns."""
     return _cokernel(_pivots(lattice_basis(cols, dim)), dim)

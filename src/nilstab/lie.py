@@ -192,16 +192,25 @@ def lie_apply_matrix(a, x: LieElement) -> LieElement:
     return lie_from_polynomial(r, x.class_bound, out)
 
 
-def lie_layer_matrix(a, r: int, n: int):
-    """Matrix of the substitution action on the degree-n Lyndon basis.
+def lie_layer_matrix(a, r: int, n: int) -> tuple:
+    """Sparse columns of the substitution action on the degree-n Lyndon basis.
 
-    Column i is the image of the i-th basis monomial, in basis order.
+    Column i is the image of the i-th basis monomial, as (row, value) pairs in
+    basis order.  A word all of whose letters a fixes (column l of a is e_l)
+    maps to itself, because the substitution fixes those letters.
     """
     from .words import lyndon_basis
 
+    if len(a) != r or any(len(row) != r for row in a):
+        raise ValueError("matrix size does not match rank")
     basis = lyndon_basis(r, n)
+    index = {b: i for i, b in enumerate(basis)}
+    fixed = {l + 1 for l in range(r) if all(a[k][l] == int(k == l) for k in range(r))}
     cols = []
-    for b in basis:
-        x = LieElement(r, n, {b: 1})
-        cols.append(lie_apply_matrix(a, x).coordinates(basis))
-    return tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
+    for i, b in enumerate(basis):
+        if fixed.issuperset(b.word):
+            cols.append(((i, 1),))
+            continue
+        image = lie_apply_matrix(a, LieElement(r, n, {b: 1}))
+        cols.append(tuple(sorted((index[w], c) for w, c in image.terms.items())))
+    return tuple(cols)

@@ -10,6 +10,10 @@ retraction back (costab) is its transpose.
 
 Automorphisms of the free nilpotent groups act through their abelianization,
 so restriction along that map is just evaluation at the abelianized matrix.
+
+An action is held sparse: a tuple of columns, column j the image of basis
+vector j as (row, value) pairs in row order with no zeros (see intlinalg).
+BasedModule.matrix gives the dense matrix.
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 from . import intlinalg
-from .intlinalg import Matrix, compound, int_inverse, kron, transpose
+from .intlinalg import Matrix, int_inverse, sparse_columns, sparse_compound, sparse_kron
+from .intlinalg import sparse_transpose, transpose
 from .lie import lie_layer_matrix
-from .words import lyndon_words
+from .words import lyndon_words, witt_rank
 
 
 class ModuleSpec:
@@ -150,15 +156,20 @@ class BasedModule:
     def costab(self) -> Matrix:
         return transpose(self.stab, self.rank)
 
-    def action(self, a: Matrix) -> Matrix:
+    def action(self, a: Matrix) -> tuple:
+        """Sparse columns of the action of a (cached per matrix)."""
         a = intlinalg.freeze(a)
         if len(a) != self.rank_of_group or any(len(row) != self.rank_of_group for row in a):
             raise ValueError("matrix size does not match the group rank")
         cached = self._action_cache.get(a)
         if cached is None:
-            cached = _action(self.spec, self.rank_of_group, a)
+            cached = _action(self.spec, a, cache(lambda: int_inverse(a)))
             self._action_cache[a] = cached
         return cached
+
+    def matrix(self, a: Matrix) -> Matrix:
+        """Dense matrix of the action of a."""
+        return intlinalg.dense_matrix(self.action(a), self.rank)
 
 
 @lru_cache(maxsize=None)
@@ -195,32 +206,56 @@ def _basis(spec: ModuleSpec, r: int) -> tuple:
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def _action(spec: ModuleSpec, r: int, a: Matrix) -> Matrix:
+def module_rank(spec: ModuleSpec, r: int) -> int:
+    """Rank of the evaluation at r, in closed form, without building a basis."""
     if isinstance(spec, Const):
-        return intlinalg.identity(spec.rank)
-    if isinstance(spec, Std):
-        return a
-    if isinstance(spec, DualStd):
-        return transpose(int_inverse(a))
+        return spec.rank
+    if isinstance(spec, (Std, DualStd)):
+        return r
     if isinstance(spec, Sum):
-        left = _action(spec.left, r, a)
-        right = _action(spec.right, r, a)
-        return intlinalg.block_diag(
-            left, right, len(_basis(spec.left, r)), len(_basis(spec.right, r))
-        )
+        return module_rank(spec.left, r) + module_rank(spec.right, r)
     if isinstance(spec, Tensor):
-        return kron(_action(spec.left, r, a), _action(spec.right, r, a))
+        return module_rank(spec.left, r) * module_rank(spec.right, r)
+    if isinstance(spec, Hom):
+        return module_rank(spec.target, r) * module_rank(spec.source, r)
     if isinstance(spec, Ext):
-        inner = _action(spec.inner, r, a)
-        n = len(_basis(spec.inner, r))
-        return compound(inner, spec.power, n, n)
+        return comb(module_rank(spec.inner, r), spec.power)
+    if isinstance(spec, LieLayer):
+        return witt_rank(r, spec.degree)
+    raise TypeError(f"unknown spec {spec!r}")
+
+
+def _action(spec: ModuleSpec, a: Matrix, inverse, inverted: bool = False) -> tuple:
+    """Sparse columns of the action at a, or at a^-1 when inverted.
+
+    inverse() returns a^-1 (a cached thunk, so each action inverts at most
+    once); a Hom flips inverted for its source, so a dual there needs none.
+    """
+    if isinstance(spec, Const):
+        return tuple(((i, 1),) for i in range(spec.rank))
+    if isinstance(spec, Std):
+        return sparse_columns(inverse() if inverted else a)
+    if isinstance(spec, DualStd):
+        # the inverse transpose: its columns are the rows of the inverse
+        return sparse_columns(transpose(a if inverted else inverse()))
+    if isinstance(spec, Sum):
+        left = _action(spec.left, a, inverse, inverted)
+        right = _action(spec.right, a, inverse, inverted)
+        shift = len(left)
+        return left + tuple(tuple((i + shift, x) for i, x in col) for col in right)
+    if isinstance(spec, Tensor):
+        return sparse_kron(
+            _action(spec.left, a, inverse, inverted), _action(spec.right, a, inverse, inverted)
+        )
+    if isinstance(spec, Ext):
+        return sparse_compound(_action(spec.inner, a, inverse, inverted), spec.power)
     if isinstance(spec, Hom):
         # f goes to T(a) f S(a)^-1; row-major vec turns that into T(a) (x) S(a^-1)^T
-        tgt = _action(spec.target, r, a)
-        src_inv = _action(spec.source, r, int_inverse(a))
-        return kron(tgt, transpose(src_inv, len(_basis(spec.source, r))))
+        tgt = _action(spec.target, a, inverse, inverted)
+        src_inv = _action(spec.source, a, inverse, not inverted)
+        return sparse_kron(tgt, sparse_transpose(src_inv, len(src_inv)))
     if isinstance(spec, LieLayer):
-        return lie_layer_matrix(a, r, spec.degree)
+        return lie_layer_matrix(inverse() if inverted else a, len(a), spec.degree)
     raise TypeError(f"unknown spec {spec!r}")
 
 
@@ -230,7 +265,7 @@ def restrict_action(spec: ModuleSpec, e) -> Matrix:
 
     if not is_automorphism(e):
         raise ValueError("restriction is defined for automorphisms only")
-    return eval_module(spec, e.rank).action(abelianization_matrix(e))
+    return eval_module(spec, e.rank).matrix(abelianization_matrix(e))
 
 
 def kernel_homology_module(c: int, t: int, coefficients: ModuleSpec) -> ModuleSpec:
@@ -262,7 +297,7 @@ def based_module_to_json(mod: BasedModule, matrices=()) -> dict:
         "actions": [
             {
                 "matrix": [list(row) for row in a],
-                "action": [list(row) for row in mod.action(a)],
+                "action": [list(row) for row in mod.matrix(a)],
             }
             for a in matrices
         ],

@@ -25,7 +25,7 @@ from math import comb
 
 from . import intlinalg
 from .autos import HomMap, endo_from_matrix, lift_to_class, sharp
-from .intlinalg import FinAbPresentation, cokernel_presentation, lattice_basis
+from .intlinalg import FinAbPresentation, cokernel_presentation, lattice_basis, sparse_columns
 from .intlinalg import _cokernel, _pivots, _reduce
 from .modules import ModuleSpec, _block_embed, eval_module, kernel_homology_module
 from .words import witt_rank
@@ -71,12 +71,13 @@ def aut_generators(r: int, c: int) -> tuple:
 
 
 def coinvariants(action_matrices, ambient_rank: int) -> FinAbPresentation:
-    """Presentation of Z^k modulo the columns of every (g - 1)."""
+    """Presentation of Z^k modulo the columns of every (g - 1), for dense matrices g."""
     matrices = list(action_matrices)
     for g in matrices:
         if len(g) != ambient_rank or any(len(row) != ambient_rank for row in g):
             raise ValueError("action matrix has wrong size")
-    return _coinv([intlinalg.freeze(g) for g in matrices], ambient_rank).presentation
+    actions = [sparse_columns(intlinalg.freeze(g)) for g in matrices]
+    return _coinv(actions, ambient_rank).presentation
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,20 @@ class _Coinv:
     presentation: FinAbPresentation
 
 
-def _coinv(action_matrices, dim: int) -> _Coinv:
-    cols = []
-    for g in action_matrices:
-        for j, col in enumerate(zip(*g)):  # column j of g - 1
-            col = list(col)
-            col[j] -= 1
-            cols.append(tuple(col))
+def _minus_unit(col: tuple, j: int) -> tuple:
+    """A sparse column minus the unit vector e_j."""
+    for k, (i, x) in enumerate(col):
+        if i == j:
+            return col[:k] + col[k + 1 :] if x == 1 else col[:k] + ((j, x - 1),) + col[k + 1 :]
+        if i > j:
+            return col[:k] + ((j, -1),) + col[k:]
+    return col + ((j, -1),)
+
+
+def _coinv(actions, dim: int) -> _Coinv:
+    """Coinvariants under the actions, each given by its sparse columns; every
+    column of every g - 1 goes to the echelon, zero columns included."""
+    cols = [_minus_unit(col, j) for g in actions for j, col in enumerate(g)]
     pivots = _pivots(lattice_basis(cols, dim))
     return _Coinv(dim, pivots, _cokernel(pivots, dim))
 
@@ -117,7 +125,9 @@ def _induced_iso(stab_index: tuple, source: _Coinv, target: _Coinv) -> bool:
         if any(_reduce(target.pivots, image)):
             raise AssertionError("comparison map does not respect the relation lattices")
     rest = sorted(set(range(target.dim)).difference(stab_index))
-    projected = [tuple(col[i] for i in rest) for col in target.pivots.values()]
+    projected = [
+        tuple((k, col[i]) for k, i in enumerate(rest) if col[i]) for col in target.pivots.values()
+    ]
     return cokernel_presentation(projected, len(rest)).is_trivial()
 
 

@@ -194,7 +194,7 @@ def _suite_functoriality(rng):
         b = random_unimodular(rng, r)
         spec = rng.choice(specs)
         m = eval_module(spec, r)
-        assert m.action(matmul(a, b)) == matmul(m.action(a), m.action(b))
+        assert m.matrix(matmul(a, b)) == matmul(m.matrix(a), m.matrix(b))
         x = random_lie_element(rng, r, 3, support=3)
         assert lie_apply_matrix(matmul(a, b), x) == lie_apply_matrix(
             a, lie_apply_matrix(b, x)
@@ -214,7 +214,7 @@ def _suite_stab_equivariance(rng):
             m1 = eval_module(spec, r + 1)
             for _ in range(6):
                 a = random_unimodular(rng, r)
-                assert matmul(m1.action(block(a)), m.stab) == matmul(m.stab, m.action(a))
+                assert matmul(m1.matrix(block(a)), m.stab) == matmul(m.stab, m.matrix(a))
 
 
 def _suite_snf(rng):
@@ -240,7 +240,7 @@ def _suite_snf(rng):
 
 def _suite_generating_sets(rng):
     for r in (2, 3, 4):
-        primary = [eval_module(Std(), r).action(a) for a in gl_generators(r)]
+        primary = [eval_module(Std(), r).matrix(a) for a in gl_generators(r)]
         e12 = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         e12[0][1] = 1
         cycle = [[1 if j == (i + 1) % r else 0 for j in range(r)] for i in range(r)]

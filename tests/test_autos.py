@@ -244,7 +244,7 @@ def test_hom_gl_action_matches_module_action():
             a = random_unimodular(rng, r)
             direct = hom_gl_action(a, beta)
             vec = tuple(x for row in beta.matrix for x in row)  # row-major
-            moved = matvec(module.action(a), vec)
+            moved = matvec(module.matrix(a), vec)
             expected = tuple(x for row in direct.matrix for x in row)
             assert moved == expected
 

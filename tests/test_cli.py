@@ -154,6 +154,9 @@ def test_scan_text_and_exit_codes(capsys):
 
 
 README_SCAN = ["scan", "--spec", "hom(std, ext(2, dual))", "-c", "2", "-r", "1..5"]
+EXT2_SCAN = [
+    "scan", "--spec", "ext(2, hom(std, lie(2)))", "-c", "1", "-r", "1..5", "--unsafe-bounds",
+]
 
 SCAN_GOLDEN = [
     (
@@ -204,13 +207,36 @@ SCAN_GOLDEN = [
         "  r=4: H_0 = 0\n"
         "  not stabilized in range\n",
     ),
+    # rank 1,225 at r=5, above the module rank bound; recorded with the dense
+    # actions and relation columns (about 4 minutes and 770 MiB then)
+    (
+        EXT2_SCAN,
+        "scan ext(2, hom(std, lie(2))) at class 1\n"
+        "  r=1: H_0 = 0; map to r=2 iso: False (coefficient leg False, group leg True)\n"
+        "  r=2: H_0 = Z/2; map to r=3 iso: True (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = Z/2; map to r=4 iso: False (coefficient leg False, group leg False)\n"
+        "  r=4: H_0 = 0; map to r=5 iso: True (coefficient leg False, group leg False)\n"
+        "  r=5: H_0 = 0\n"
+        "  stabilized from r = 4\n",
+    ),
+    (
+        EXT2_SCAN + ["--format", "json"],
+        '[{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":false,"r":1},'
+        '{"free_rank":0,"invariant_factors":[2],"map_to_next_is_iso":true,"r":2},'
+        '{"free_rank":0,"invariant_factors":[2],"map_to_next_is_iso":false,"r":3},'
+        '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":true,"r":4},'
+        '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":null,"r":5}]\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     SCAN_GOLDEN,
-    ids=["readme-json", "readme-csv", "readme-text", "std-text", "nested-hom-text"],
+    ids=[
+        "readme-json", "readme-csv", "readme-text", "std-text", "nested-hom-text",
+        "ext2-hom-lie2-text", "ext2-hom-lie2-json",
+    ],
 )
 def test_scan_golden_output(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
@@ -365,6 +391,27 @@ def test_scan_const_rank_at_the_bound_and_unsafe(capsys):
     assert run(capsys, *argv, "--spec", "const(Z^420)")[0] == 0
     code, out, _ = run(capsys, *argv, "--spec", "const(Z^421)", "--unsafe-bounds")
     assert code == 0 and "H_0 = Z^421" in out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "tensor(const(Z^420), const(Z^420))",
+        "ext(200, const(Z^420))",
+        "ext(99999999999, ext(200, const(Z^420)))",
+        "ext(2, hom(std, lie(2)))",
+    ],
+)
+def test_scan_bounds_module_rank(capsys, spec):
+    # refused from the closed-form rank; none of these modules is built
+    result = run(capsys, "scan", "--spec", spec, "-c", "1", "-r", "1..5", "--allow-unstable")
+    assert _usage_error(result) and "module rank" in result[2]
+
+
+def test_scan_module_rank_at_the_bound(capsys):
+    argv = ["scan", "--spec", "tensor(lie(3), dual)", "-c", "1", "-r", "6", "--allow-unstable"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "r=6: H_0 = 0" in out
 
 
 def _internal_error(result):

@@ -12,6 +12,7 @@ from nilstab.intlinalg import (
     FinAbPresentation,
     cokernel_presentation,
     compound,
+    dense_matrix,
     det,
     freeze,
     identity,
@@ -21,10 +22,17 @@ from nilstab.intlinalg import (
     lattice_contains,
     matmul,
     snf,
+    sparse_columns,
+    sparse_transpose,
     transpose,
     xgcd,
     zero_matrix,
 )
+
+
+def sparse(cols):
+    """Dense column tuples as sparse columns: (row, value) pairs, no zeros."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in cols]
 
 
 def random_sparse(rng, nrows, ncols, density=0.3, lo=-9, hi=9):
@@ -194,7 +202,7 @@ def test_snf_deterministic():
 
 def test_lattice_basis_and_membership():
     cols = [(2, 0), (0, 2), (1, 1)]
-    basis = lattice_basis(cols, 2)
+    basis = lattice_basis(sparse(cols), 2)
     # the lattice contains (1,1) and (2,0) but not (1,0)
     assert lattice_contains(basis, (1, 1))
     assert lattice_contains(basis, (2, 0))
@@ -209,7 +217,7 @@ def test_lattice_basis_random_consistency():
         cols = [
             tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(0, 8))
         ]
-        basis = lattice_basis(cols, dim)
+        basis = lattice_basis(sparse(cols), dim)
         for col in cols:
             assert lattice_contains(basis, col)
         # random integer combinations stay inside
@@ -223,19 +231,19 @@ def test_lattice_basis_random_consistency():
 
 def test_cokernel_presentation():
     assert cokernel_presentation([], 3) == FinAbPresentation(3, ())
-    assert cokernel_presentation([(-2,)], 1) == FinAbPresentation(0, (2,))
-    assert cokernel_presentation([(1, 0), (0, 1)], 2) == FinAbPresentation(0, ())
-    pres = cokernel_presentation([(2, 0), (0, 3)], 2)
+    assert cokernel_presentation(sparse([(-2,)]), 1) == FinAbPresentation(0, (2,))
+    assert cokernel_presentation(sparse([(1, 0), (0, 1)]), 2) == FinAbPresentation(0, ())
+    pres = cokernel_presentation(sparse([(2, 0), (0, 3)]), 2)
     assert pres == FinAbPresentation(0, (6,))  # Z/2 + Z/3 collapses to Z/6
-    assert cokernel_presentation([(2, 0), (0, 2), (1, 1)], 2) == FinAbPresentation(0, (2,))
-    assert cokernel_presentation([(1, 1)], 2) == FinAbPresentation(1, ())  # rank 1 in Z^2
+    assert cokernel_presentation(sparse([(2, 0), (0, 2), (1, 1)]), 2) == FinAbPresentation(0, (2,))
+    assert cokernel_presentation(sparse([(1, 1)]), 2) == FinAbPresentation(1, ())  # rank 1 in Z^2
 
 
 def test_lattice_index_examples():
     """The index of a lattice in Z^dim is the order of its cokernel (0 if infinite)."""
 
     def index(cols, dim):
-        pres = cokernel_presentation(cols, dim)
+        pres = cokernel_presentation(sparse(cols), dim)
         return prod(pres.invariant_factors) if pres.free_rank == 0 else 0
 
     assert index([(2, 0), (0, 3)], 2) == 6
@@ -259,7 +267,66 @@ def test_cokernel_presentation_against_dense_snf(case):
     dim, cols = case
     factors = snf(tuple(tuple(col[i] for col in cols) for i in range(dim))).invariant_factors()
     expected = FinAbPresentation(dim - len(factors), tuple(d for d in factors if d > 1))
-    assert cokernel_presentation(cols, dim) == expected
+    assert cokernel_presentation(sparse(cols), dim) == expected
+
+
+def dense_echelon(cols, dim):
+    """Oracle: the echelon lattice_basis ran on dense column tuples, walking
+    every row of each column top down."""
+    pivots = {}
+    seen = set()
+    for col in cols:
+        if col in seen or not any(col):
+            continue
+        seen.add(col)
+        c = list(col)
+        row = 0
+        while row < dim:
+            if c[row] == 0:
+                row += 1
+                continue
+            p = pivots.get(row)
+            if p is None:
+                pivots[row] = c
+                break
+            a, b = p[row], c[row]
+            if b % a == 0:
+                q = b // a
+                c = [ci - q * pi for ci, pi in zip(c, p)]
+            else:
+                x, y, g = xgcd(a, b)
+                pivots[row] = [x * pi + y * ci for pi, ci in zip(p, c)]
+                c = [(a // g) * ci - (b // g) * pi for pi, ci in zip(p, c)]
+            row += 1
+    return [tuple(pivots[r]) for r in sorted(pivots)]
+
+
+_echelon_cases = st.integers(0, 7).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=8),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_echelon_cases)
+def test_sparse_lattice_basis_matches_dense_echelon(case):
+    dim, cols = case
+    assert lattice_basis(sparse(cols), dim) == dense_echelon(cols, dim)
+
+
+def test_lattice_basis_rejects_rows_out_of_range():
+    with pytest.raises(ValueError, match="dimension"):
+        lattice_basis([((2, 1),)], 2)
+
+
+def test_sparse_and_dense_conversions():
+    a = ((1, 0, 2), (0, 0, -3))
+    cols = sparse_columns(a)
+    assert cols == (((0, 1),), (), ((0, 2), (1, -3)))
+    assert dense_matrix(cols, 2) == a
+    assert dense_matrix(sparse_transpose(cols, 2), 3) == transpose(a)
 
 
 def test_presentation_str():

@@ -204,3 +204,34 @@ def test_witt_desk_scale():
     for r in range(1, 6):
         for n in range(1, 7):
             assert len(lyndon_words(r, n)) == witt_rank(r, n)
+
+
+def _layer_test_matrices(r):
+    """Elementary, permutation and sign matrices of rank r."""
+    from nilstab.stability import gl_generators
+
+    cycle = tuple(tuple(int(j == (i + 1) % r) for j in range(r)) for i in range(r))
+    signs = tuple(
+        tuple((-1 if i % 2 == 0 else 1) * int(i == j) for j in range(r)) for i in range(r)
+    )
+    minus = [[int(i == j) for j in range(r)] for i in range(r)]
+    if r > 1:
+        minus[r - 1][0] = -1  # E_r1(-1)
+    return gl_generators(r) + [cycle, signs, tuple(map(tuple, minus))]
+
+
+def test_lie_layer_matrix_matches_full_substitution():
+    # oracle: substitute into every basis monomial, fixed letters or not
+    from nilstab.intlinalg import dense_matrix
+    from nilstab.lie import lie_layer_matrix
+
+    for r in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            basis = lyndon_basis(r, n)
+            for a in _layer_test_matrices(r):
+                cols = [
+                    lie_apply_matrix(a, LieElement(r, n, {b: 1})).coordinates(basis)
+                    for b in basis
+                ]
+                expected = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
+                assert dense_matrix(lie_layer_matrix(a, r, n), len(basis)) == expected

@@ -8,7 +8,8 @@ import pytest
 from nilstab import modules
 from nilstab.autos import Endo, endo_from_images
 from nilstab.group import parse_element
-from nilstab.intlinalg import identity, matmul
+from nilstab.intlinalg import block_diag, compound, identity, int_inverse, kron, matmul, transpose
+from nilstab.lie import LieElement, lie_apply_matrix
 from nilstab.modules import (
     BasedModule,
     Const,
@@ -21,11 +22,12 @@ from nilstab.modules import (
     Tensor,
     eval_module,
     kernel_homology_module,
+    module_rank,
     parse_module_spec,
     restrict_action,
 )
 from nilstab.verify import random_unimodular
-from nilstab.words import witt_rank
+from nilstab.words import lyndon_basis, witt_rank
 
 ALL_SPECS = [
     Const(1),
@@ -58,7 +60,7 @@ def test_eval_examples():
     m = eval_module(Std(), 3)
     assert len(m.basis) == 3
     a = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
-    assert m.action(a) == a
+    assert m.matrix(a) == a
     assert eval_module(Hom(Std(), Ext(2, DualStd())), 3).rank == 9
     assert eval_module(LieLayer(3), 2).rank == 2
 
@@ -83,11 +85,11 @@ def test_action_multiplicative():
     for spec in ALL_SPECS:
         for r in (2, 3):
             m = eval_module(spec, r)
-            assert m.action(identity(r)) == identity(m.rank)
+            assert m.matrix(identity(r)) == identity(m.rank)
             for _ in range(25):
                 a = random_unimodular(rng, r)
                 b = random_unimodular(rng, r)
-                assert m.action(matmul(a, b)) == matmul(m.action(a), m.action(b))
+                assert m.matrix(matmul(a, b)) == matmul(m.matrix(a), m.matrix(b))
 
 
 def test_action_rejects_non_integer_entries():
@@ -110,6 +112,67 @@ def test_action_without_dual_never_inverts(monkeypatch, spec):
     assert eval_module(spec, 3).action(a) == expected
 
 
+@pytest.mark.parametrize(
+    "spec, calls",
+    [("hom(dual, std)", 0), ("dual", 1), ("tensor(dual, hom(std, dual))", 1)],
+)
+def test_action_inverts_at_most_once(monkeypatch, spec, calls):
+    # a dual in a Hom source is evaluated at a^-1, so it needs transpose(a) only
+    inverted = []
+
+    def counted(a):
+        inverted.append(a)
+        return int_inverse(a)
+
+    monkeypatch.setattr(modules, "int_inverse", counted)
+    a = ((1, 1, 0), (0, 0, 1), (0, 1, 0))
+    BasedModule(parse_module_spec(spec), 3).action(a)
+    assert len(inverted) == calls
+
+
+def dense_action(spec, a):
+    """Reference action, assembled from dense kron, compound, block_diag and
+    inverse transposes, with Lie layers by full substitution."""
+    if isinstance(spec, Const):
+        return identity(spec.rank)
+    if isinstance(spec, Std):
+        return a
+    if isinstance(spec, DualStd):
+        return transpose(int_inverse(a))
+    if isinstance(spec, Sum):
+        left, right = dense_action(spec.left, a), dense_action(spec.right, a)
+        return block_diag(left, right, len(left), len(right))
+    if isinstance(spec, Tensor):
+        return kron(dense_action(spec.left, a), dense_action(spec.right, a))
+    if isinstance(spec, Ext):
+        inner = dense_action(spec.inner, a)
+        return compound(inner, spec.power, len(inner), len(inner))
+    if isinstance(spec, Hom):
+        src_inv = dense_action(spec.source, int_inverse(a))
+        return kron(dense_action(spec.target, a), transpose(src_inv, len(src_inv)))
+    r, n = len(a), spec.degree
+    basis = lyndon_basis(r, n)
+    cols = [lie_apply_matrix(a, LieElement(r, n, {b: 1})).coordinates(basis) for b in basis]
+    return transpose(tuple(cols), len(basis))
+
+
+def test_matrix_matches_dense_reference():
+    rng = random.Random(55)
+    extra = [Hom(DualStd(), Std()), Tensor(DualStd(), Hom(Std(), DualStd()))]
+    for spec in ALL_SPECS + extra:
+        for r in (1, 2, 3):
+            m = BasedModule(spec, r)
+            for _ in range(3):
+                a = random_unimodular(rng, r)
+                assert m.matrix(a) == dense_action(spec, a)
+
+
+def test_module_rank_closed_form():
+    for spec in ALL_SPECS:
+        for r in (1, 2, 3, 4):
+            assert module_rank(spec, r) == eval_module(spec, r).rank
+
+
 def test_stab_equivariance():
     rng = random.Random(52)
     for spec in ALL_SPECS:
@@ -118,8 +181,8 @@ def test_stab_equivariance():
             m1 = eval_module(spec, r + 1)
             for _ in range(4):
                 a = random_unimodular(rng, r)
-                assert matmul(m1.action(block(a)), m.stab) == matmul(m.stab, m.action(a))
-                assert matmul(m.costab, m1.action(block(a))) == matmul(m.action(a), m.costab)
+                assert matmul(m1.matrix(block(a)), m.stab) == matmul(m.stab, m.matrix(a))
+                assert matmul(m.costab, m1.matrix(block(a))) == matmul(m.matrix(a), m.costab)
             assert matmul(m.costab, m.stab) == identity(m.rank)
 
 
@@ -167,13 +230,13 @@ def test_kernel_homology_module_ranks():
 def test_dual_action_is_inverse_transpose():
     m = eval_module(DualStd(), 2)
     a = ((1, 1), (0, 1))
-    assert m.action(a) == ((1, 0), (-1, 1))
+    assert m.matrix(a) == ((1, 0), (-1, 1))
 
 
 def test_lie_layer_action_matches_bracket_functor():
     m = eval_module(LieLayer(2), 2)
     swap = ((0, 1), (1, 0))
-    assert m.action(swap) == ((-1,),)
+    assert m.matrix(swap) == ((-1,),)
 
 
 def test_lie_layer_two_is_exterior_square():
@@ -193,9 +256,9 @@ def test_lie_layer_two_is_exterior_square():
 def test_ext_action_is_compound():
     m = eval_module(Ext(2, Std()), 3)
     a = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
-    act = m.action(a)
+    act = m.matrix(a)
     assert act[0][0] == 1  # det of the (12, 12) minor
-    assert m.action(identity(3)) == identity(3)
+    assert m.matrix(identity(3)) == identity(3)
 
 
 def test_spec_validation():
@@ -244,7 +307,7 @@ def test_based_module_json_export():
     assert obj["rank_of_group"] == 2
     assert len(obj["basis"]) == m.rank
     assert obj["actions"][0]["matrix"] == [[0, 1], [1, 0]]
-    assert obj["actions"][0]["action"] == [list(row) for row in m.action(swap)]
+    assert obj["actions"][0]["action"] == [list(row) for row in m.matrix(swap)]
     assert len(obj["stab"]) == eval_module(Hom(Std(), LieLayer(2)), 3).rank
     json.dumps(obj)  # serializable as-is
 

@@ -116,7 +116,7 @@ def test_coinvariants_gl2_standard_trivial():
 def test_coinvariants_generating_set_independence():
     # alternative set: E_12(1), an r-cycle, a transposition, diag(-1,1,...)
     for r in (2, 3, 4):
-        primary = [eval_module(Std(), r).action(a) for a in gl_generators(r)]
+        primary = [eval_module(Std(), r).matrix(a) for a in gl_generators(r)]
         alt_mats = []
         e12 = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         e12[0][1] = 1
@@ -144,13 +144,18 @@ def test_kernel_generators_act_trivially():
                     assert restrict_action(spec, e) == identity(mod.rank)
 
 
+def sparse(cols):
+    """Dense column tuples as sparse columns: (row, value) pairs, no zeros."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in cols]
+
+
 def _same_relation_lattice(mats_a, mats_b, dim):
     """Coinvariants agree, and so do the relation lattices behind them."""
     assert coinvariants(mats_a, dim) == coinvariants(mats_b, dim)
     lattices = []
     for mats in (mats_a, mats_b):
         cols = [tuple(g[i][j] - (i == j) for i in range(dim)) for g in mats for j in range(dim)]
-        lattices.append(lattice_basis(cols, dim))
+        lattices.append(lattice_basis(sparse(cols), dim))
     for basis, other in (lattices, lattices[::-1]):
         assert all(lattice_contains(other, col) for col in basis)
 
@@ -169,12 +174,12 @@ def test_gl_generators_match_aut_generators(spec):
             gens = aut_generators(r, c)
             _same_relation_lattice(
                 [restrict_action(spec, e) for e in gens],
-                [mod.action(a) for a in gl_generators(r)],
+                [mod.matrix(a) for a in gl_generators(r)],
                 mod.rank,
             )
             _same_relation_lattice(
                 [restrict_action(spec, stabilize(e)) for e in gens],
-                [mod_next.action(_block_embed(a)) for a in gl_generators(r)],
+                [mod_next.matrix(_block_embed(a)) for a in gl_generators(r)],
                 mod_next.rank,
             )
 
@@ -274,14 +279,14 @@ def test_onto_by_projection_matches_unit_vectors(case):
     """Z^dim / (L + span e_i, i in S) is Z^rest / pi(L), pi dropping the rows in S;
     oracle: the unit vectors stacked onto the echelon basis of L."""
     dim, cols, stab_index = case
-    basis = lattice_basis(cols, dim)
+    basis = lattice_basis(sparse(cols), dim)
     units = [tuple(int(k == i) for k in range(dim)) for i in stab_index]
-    expected = cokernel_presentation(units + basis, dim)
+    expected = cokernel_presentation(sparse(units + basis), dim)
     rest = [i for i in range(dim) if i not in stab_index]
     projected = [tuple(col[i] for i in rest) for col in basis]
-    assert cokernel_presentation(projected, len(rest)) == expected
+    assert cokernel_presentation(sparse(projected), len(rest)) == expected
     # the scan's onto test, from a source with the zero lattice and the same type
-    target = _Coinv(dim, intlinalg._pivots(basis), cokernel_presentation(cols, dim))
+    target = _Coinv(dim, intlinalg._pivots(basis), cokernel_presentation(sparse(cols), dim))
     source = _Coinv(len(stab_index), {}, target.presentation)
     assert _induced_iso(tuple(stab_index), source, target) is expected.is_trivial()
 
