@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .group import (
     GroupElement,
+    _from_series,
     _json_fields,
     element_from_json,
     element_to_json,
@@ -69,27 +70,27 @@ def endo_from_images(images) -> Endo:
     return Endo(g0.rank, g0.class_bound, images)
 
 
+def _substitute(e: Endo, elements) -> tuple:
+    """e applied to each element, by one ring substitution on their Magnus series."""
+    c = e.class_bound
+    # X_i goes to embed(image) - 1
+    letters = [{w: x for w, x in magnus_embed(img).coefficients.items() if w} for img in e.images]
+    series = [magnus_embed(g).coefficients for g in elements]
+    return tuple(_from_series(e.rank, c, out) for out in poly_substitute(series, letters, c))
+
+
 def apply_endo(e: Endo, g: GroupElement) -> GroupElement:
     """e(g), computed by ring substitution on the Magnus series of g."""
     if (e.rank, e.class_bound) != (g.rank, g.class_bound):
         raise ValueError("rank/class mismatch")
-    c = e.class_bound
-    letter_series = []
-    for img in e.images:
-        coeffs = dict(magnus_embed(img).coefficients)
-        coeffs.pop((), None)  # X_i goes to embed(image) - 1
-        letter_series.append(coeffs)
-    out = poly_substitute(magnus_embed(g).coefficients, letter_series, c)
-    from .group import _from_series
-
-    return _from_series(e.rank, c, out)
+    return _substitute(e, (g,))[0]
 
 
 def compose(e1: Endo, e2: Endo) -> Endo:
-    """e1 after e2: generator i goes to e1(e2(x_i))."""
+    """e1 after e2: generator i goes to e1(e2(x_i)); all images substituted at once."""
     if (e1.rank, e1.class_bound) != (e2.rank, e2.class_bound):
         raise ValueError("rank/class mismatch")
-    return Endo(e1.rank, e1.class_bound, tuple(apply_endo(e1, img) for img in e2.images))
+    return Endo(e1.rank, e1.class_bound, _substitute(e1, e2.images))
 
 
 def abelianization_matrix(e: Endo):

@@ -107,8 +107,11 @@ def _read_json_arg(text: str) -> dict:
     if text == "-":
         return json.loads(sys.stdin.read())
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            return json.loads(fh.read())
+        try:
+            with open(text[1:], encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {text[1:]}: {exc.strerror or exc}") from None
     return json.loads(text)
 
 

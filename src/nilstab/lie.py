@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .series import poly_add, poly_component, poly_mul, poly_scale, poly_sub, poly_substitute
-from .words import LyndonBasisElement, bracketing, is_lyndon
+from .words import LyndonBasisElement, bracketing, is_lyndon, lyndon_words
 
 
 class LieSpanError(ValueError):
@@ -125,9 +125,6 @@ class LieElement:
     def degrees(self) -> set:
         return {b.degree for b in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def envelope(self) -> dict:
         """Expansion in the free associative ring (degrees <= class_bound)."""
         out: dict = {}
@@ -177,6 +174,13 @@ def lie_bracket(x: LieElement, y: LieElement) -> LieElement:
     return lie_from_polynomial(x.rank, c, comm)
 
 
+def _letter_images(a, r: int) -> list:
+    """Letter i -> sum_j a[j][i] * letter j, as degree-1 polynomials."""
+    if len(a) != r or any(len(row) != r for row in a):
+        raise ValueError("matrix size does not match rank")
+    return [{(j + 1,): a[j][i] for j in range(r) if a[j][i]} for i in range(r)]
+
+
 def lie_apply_matrix(a, x: LieElement) -> LieElement:
     """Substitute letter i -> sum_j a[j][i] * letter j and rewrite to the basis.
 
@@ -184,33 +188,20 @@ def lie_apply_matrix(a, x: LieElement) -> LieElement:
     which agrees with the bracket-tree substitution because expansion is a Lie
     map into the envelope.
     """
-    r = x.rank
-    if len(a) != r or any(len(row) != r for row in a):
-        raise ValueError("matrix size does not match rank")
-    letter_image = [{(j + 1,): a[j][i] for j in range(r) if a[j][i]} for i in range(r)]
-    out = poly_substitute(x.envelope(), letter_image, x.class_bound)
-    return lie_from_polynomial(r, x.class_bound, out)
+    (out,) = poly_substitute([x.envelope()], _letter_images(a, x.rank), x.class_bound)
+    return lie_from_polynomial(x.rank, x.class_bound, out)
 
 
 def lie_layer_matrix(a, r: int, n: int) -> tuple:
     """Sparse columns of the substitution action on the degree-n Lyndon basis.
 
-    Column i is the image of the i-th basis monomial, as (row, value) pairs in
-    basis order.  A word all of whose letters a fixes (column l of a is e_l)
-    maps to itself, because the substitution fixes those letters.
+    Column i is the image of the i-th basis monomial, as (row, value) pairs.
+    One substitution serves the whole layer; each image is homogeneous of
+    degree n, and its Lyndon coordinates are peeled in increasing word order,
+    which is basis order.
     """
-    from .words import lyndon_basis
-
-    if len(a) != r or any(len(row) != r for row in a):
-        raise ValueError("matrix size does not match rank")
-    basis = lyndon_basis(r, n)
-    index = {b: i for i, b in enumerate(basis)}
-    fixed = {l + 1 for l in range(r) if all(a[k][l] == int(k == l) for k in range(r))}
-    cols = []
-    for i, b in enumerate(basis):
-        if fixed.issuperset(b.word):
-            cols.append(((i, 1),))
-            continue
-        image = lie_apply_matrix(a, LieElement(r, n, {b: 1}))
-        cols.append(tuple(sorted((index[w], c) for w, c in image.terms.items())))
-    return tuple(cols)
+    letters = _letter_images(a, r)
+    words = lyndon_words(r, n)
+    index = {w: i for i, w in enumerate(words)}
+    images = poly_substitute([envelope_polynomial(w) for w in words], letters, n)
+    return tuple(tuple((index[w], c) for w, c in lyndon_coordinates(x).items()) for x in images)

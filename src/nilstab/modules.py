@@ -163,7 +163,7 @@ class BasedModule:
             raise ValueError("matrix size does not match the group rank")
         cached = self._action_cache.get(a)
         if cached is None:
-            cached = _action(self.spec, a, cache(lambda: int_inverse(a)))
+            cached = _action(self.spec, lambda: a, cache(lambda: int_inverse(a)))
             self._action_cache[a] = cached
         return cached
 
@@ -225,37 +225,36 @@ def module_rank(spec: ModuleSpec, r: int) -> int:
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def _action(spec: ModuleSpec, a: Matrix, inverse, inverted: bool = False) -> tuple:
-    """Sparse columns of the action at a, or at a^-1 when inverted.
+def _action(spec: ModuleSpec, a, a_inv) -> tuple:
+    """Sparse columns of the action at the matrix a() returns.
 
-    inverse() returns a^-1 (a cached thunk, so each action inverts at most
-    once); a Hom flips inverted for its source, so a dual there needs none.
+    a and a_inv are thunks for the matrix and its inverse (a_inv cached, so
+    each action inverts at most once); a Hom swaps them for its source, so a
+    dual there reads the matrix itself.
     """
     if isinstance(spec, Const):
         return tuple(((i, 1),) for i in range(spec.rank))
     if isinstance(spec, Std):
-        return sparse_columns(inverse() if inverted else a)
+        return sparse_columns(a())
     if isinstance(spec, DualStd):
         # the inverse transpose: its columns are the rows of the inverse
-        return sparse_columns(transpose(a if inverted else inverse()))
+        return sparse_columns(transpose(a_inv()))
     if isinstance(spec, Sum):
-        left = _action(spec.left, a, inverse, inverted)
-        right = _action(spec.right, a, inverse, inverted)
+        left = _action(spec.left, a, a_inv)
+        right = _action(spec.right, a, a_inv)
         shift = len(left)
         return left + tuple(tuple((i + shift, x) for i, x in col) for col in right)
     if isinstance(spec, Tensor):
-        return sparse_kron(
-            _action(spec.left, a, inverse, inverted), _action(spec.right, a, inverse, inverted)
-        )
+        return sparse_kron(_action(spec.left, a, a_inv), _action(spec.right, a, a_inv))
     if isinstance(spec, Ext):
-        return sparse_compound(_action(spec.inner, a, inverse, inverted), spec.power)
+        return sparse_compound(_action(spec.inner, a, a_inv), spec.power)
     if isinstance(spec, Hom):
         # f goes to T(a) f S(a)^-1; row-major vec turns that into T(a) (x) S(a^-1)^T
-        tgt = _action(spec.target, a, inverse, inverted)
-        src_inv = _action(spec.source, a, inverse, not inverted)
+        tgt = _action(spec.target, a, a_inv)
+        src_inv = _action(spec.source, a_inv, a)
         return sparse_kron(tgt, sparse_transpose(src_inv, len(src_inv)))
     if isinstance(spec, LieLayer):
-        return lie_layer_matrix(inverse() if inverted else a, len(a), spec.degree)
+        return lie_layer_matrix(a(), len(a()), spec.degree)
     raise TypeError(f"unknown spec {spec!r}")
 
 

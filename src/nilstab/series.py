@@ -70,11 +70,12 @@ def poly_component(a: dict, n: int) -> dict:
     return {w: c for w, c in a.items() if len(w) == n}
 
 
-def poly_substitute(poly: dict, letter_images, max_deg: int) -> dict:
-    """Ring substitution X_i -> letter_images[i - 1], truncated at max_deg.
+def poly_substitute(polys, letter_images, max_deg: int) -> list:
+    """Ring substitution X_i -> letter_images[i - 1] of each of polys, truncated at max_deg.
 
     Each word's image is the image of its prefix times the image of its last
-    letter, so words sharing a prefix share that product.
+    letter.  One prefix table serves every polynomial, so words sharing a
+    prefix, in one polynomial or across them, share that product.
     """
     prefix_cache: dict = {(): {(): 1}}
 
@@ -85,16 +86,19 @@ def poly_substitute(poly: dict, letter_images, max_deg: int) -> dict:
             prefix_cache[word] = cached
         return cached
 
-    out: dict = {}
-    get = out.get
-    for word, coeff in poly.items():
-        for w, c in substituted(word).items():
-            s = get(w, 0) + coeff * c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
+    images = []
+    for poly in polys:
+        out: dict = {}
+        get = out.get
+        for word, coeff in poly.items():
+            for w, c in substituted(word).items():
+                s = get(w, 0) + coeff * c
+                if s:
+                    out[w] = s
+                else:
+                    out.pop(w, None)
+        images.append(out)
+    return images
 
 
 def poly_unit_inverse(a: dict, max_deg: int) -> dict:

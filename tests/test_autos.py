@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nilstab import autos
 from nilstab.autos import (
     Endo,
     HomMap,
@@ -28,6 +29,7 @@ from nilstab.autos import (
 from nilstab.group import GroupElement, comm, inv, mul, parse_element
 from nilstab.intlinalg import identity, int_inverse, matmul, matvec
 from nilstab.modules import Hom, LieLayer, Std, eval_module
+from nilstab.series import poly_substitute
 from nilstab.verify import (
     random_automorphism,
     random_group_element,
@@ -68,6 +70,31 @@ def test_apply_is_homomorphism():
         g = random_group_element(rng, 2, 3)
         h = random_group_element(rng, 2, 3)
         assert apply_endo(e, mul(g, h)) == mul(apply_endo(e, g), apply_endo(e, h))
+
+
+def test_compose_matches_apply_endo_per_image():
+    # compose substitutes every image of e2 through one prefix table
+    rng = random.Random(71)
+    for r in (1, 2, 3):
+        for c in (1, 2, 3, 4):
+            for _ in range(2):
+                e1, e2 = random_automorphism(rng, r, c), random_automorphism(rng, r, c)
+                expected = tuple(apply_endo(e1, img) for img in e2.images)
+                assert compose(e1, e2).images == expected
+
+
+def test_compose_substitutes_once(monkeypatch):
+    rng = random.Random(72)
+    e1, e2 = random_automorphism(rng, 3, 3), random_automorphism(rng, 3, 3)
+    substituted = []
+
+    def counted(polys, letter_images, max_deg):
+        substituted.append(len(polys))
+        return poly_substitute(polys, letter_images, max_deg)
+
+    monkeypatch.setattr(autos, "poly_substitute", counted)
+    compose(e1, e2)
+    assert substituted == [3]
 
 
 def test_abelianization_matrix_examples():

@@ -440,3 +440,13 @@ def test_failed_assertion_is_an_internal_error(capsys, monkeypatch):
 def test_snf_reports_bad_json(capsys):
     result = run(capsys, "snf", "[[1,2")
     assert _usage_error(result) and "bad JSON input" in result[2]
+
+
+@pytest.mark.parametrize("command", ["snf", "aut-lift"])
+def test_unreadable_json_file_is_a_usage_error(capsys, tmp_path, command):
+    missing = tmp_path / "missing.json"
+    result = run(capsys, command, f"@{missing}")
+    assert _usage_error(result)
+    assert f"cannot read {missing}: No such file or directory" in result[2]
+    result = run(capsys, command, f"@{tmp_path}")  # a directory
+    assert _usage_error(result) and f"cannot read {tmp_path}: " in result[2]

@@ -160,9 +160,22 @@ def test_poly_substitute_matches_word_by_word_products():
             for x in word:
                 product = poly_mul(product, images[x - 1], c)
             expected = poly_add(expected, poly_scale(product, coeff))
-        assert poly_substitute(poly, images, c) == expected
+        assert poly_substitute([poly], images, c) == [expected]
     letters = [{(i,): 1} for i in (1, 2)]
-    assert poly_substitute({(1, 2): 5, (2,): -1}, letters, 1) == {(2,): -1}
+    assert poly_substitute([{(1, 2): 5, (2,): -1}], letters, 1) == [{(2,): -1}]
+
+
+def test_poly_substitute_of_several_matches_each_alone():
+    # one prefix table serves every polynomial; sharing it changes no image
+    rng = random.Random(62)
+    for _ in range(40):
+        r, c = rng.choice(((2, 3), (3, 4), (2, 5)))
+        polys = [_random_poly(rng, r, c, 8) for _ in range(rng.randint(1, 5))]
+        polys += [{}, polys[0]]
+        images = [_random_poly(rng, r, c, 3) for _ in range(r)]
+        alone = [poly_substitute([poly], images, c)[0] for poly in polys]
+        assert poly_substitute(polys, images, c) == alone
+    assert poly_substitute([], [{(1,): 1}], 3) == []
 
 
 def test_lcs_degree():

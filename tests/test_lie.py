@@ -15,7 +15,7 @@ from nilstab.lie import (
 )
 from nilstab.series import poly_mul, poly_sub
 from nilstab.verify import random_lie_element, random_unimodular
-from nilstab.words import graded_basis, lyndon_basis, lyndon_words
+from nilstab.words import graded_basis, lyndon_basis, lyndon_words, witt_rank
 
 BIG = 10**9
 
@@ -225,13 +225,35 @@ def test_lie_layer_matrix_matches_full_substitution():
     from nilstab.intlinalg import dense_matrix
     from nilstab.lie import lie_layer_matrix
 
+    rng = random.Random(74)
     for r in (1, 2, 3, 4):
         for n in (1, 2, 3, 4):
             basis = lyndon_basis(r, n)
-            for a in _layer_test_matrices(r):
+            unimodular = [random_unimodular(rng, r, factors=6) for _ in range(3)]
+            for a in _layer_test_matrices(r) + unimodular:
                 cols = [
                     lie_apply_matrix(a, LieElement(r, n, {b: 1})).coordinates(basis)
                     for b in basis
                 ]
                 expected = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
-                assert dense_matrix(lie_layer_matrix(a, r, n), len(basis)) == expected
+                sparse = lie_layer_matrix(a, r, n)
+                assert dense_matrix(sparse, len(basis)) == expected
+                for col in sparse:  # rows strictly increasing, no zeros
+                    assert all(x for _, x in col)
+                    assert [i for i, _ in col] == sorted({i for i, _ in col})
+
+
+def test_lie_layer_matrix_substitutes_once(monkeypatch):
+    from nilstab import lie
+
+    substitute = lie.poly_substitute
+    substituted = []
+
+    def counted(polys, letter_images, max_deg):
+        substituted.append(len(polys))
+        return substitute(polys, letter_images, max_deg)
+
+    monkeypatch.setattr(lie, "poly_substitute", counted)
+    a = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))  # fixes no letter
+    lie.lie_layer_matrix(a, 4, 3)
+    assert substituted == [witt_rank(4, 3)]
