@@ -20,7 +20,7 @@ from .group import comm as group_comm
 from .group import element_to_json, element_to_text, inv as group_inv
 from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
 from .lie import LieSpanError
-from .modules import Const, LieLayer, ModuleSpec, module_rank, parse_module_spec
+from .modules import LieLayer, ModuleSpec, module_rank, parse_module_spec
 from .series import poly_group_commutator, poly_mul, poly_unit_inverse
 from .stability import stability_scan
 from .verify import check_action_remark, check_aut_extension
@@ -28,10 +28,8 @@ from .words import lyndon_words, witt_rank
 
 DEFAULT_MAX_RANK = 6
 DEFAULT_MAX_CLASS = 6
-# largest const(Z^k) that scan accepts without --unsafe-bounds: the rank of the
+# largest module rank that scan accepts without --unsafe-bounds: the rank of the
 # largest module in the benchmark scans, tensor(lie(3), dual) at r = 6
-DEFAULT_MAX_CONST_RANK = 420
-# largest module rank that scan accepts without --unsafe-bounds, for the same reason
 DEFAULT_MAX_MODULE_RANK = 420
 
 
@@ -88,7 +86,7 @@ def _config(args, need_class: bool = True) -> CommandConfig:
     )
 
 
-def _parse_range(text: str) -> list:
+def _parse_range(text: str) -> range:
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -96,7 +94,8 @@ def _parse_range(text: str) -> list:
         lo = hi = int(text)
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    # a range, not a list: the rank bound is checked on its end before any use
+    return range(lo, hi + 1)
 
 
 def _emit_json(obj) -> str:
@@ -258,6 +257,8 @@ def cmd_kernel_iso(args) -> int:
     cfg = _config(args)
     if cfg.class_bound < 2:
         raise UsageError("kernel-iso needs -c >= 2")
+    if args.trials < 1:
+        raise UsageError("kernel-iso needs --trials >= 1")
     import random as random_module
 
     rng = random_module.Random(args.seed)
@@ -285,7 +286,7 @@ def cmd_scan(args) -> int:
         raise UsageError(f"bad module spec: {err}") from None
     ranks = _parse_range(args.range)
     cfg = CommandConfig(
-        rank=max(ranks),
+        rank=ranks[-1],
         class_bound=args.class_bound,
         unsafe_bounds=args.unsafe_bounds,
         max_class=_max_class_from_env(),
@@ -294,10 +295,6 @@ def cmd_scan(args) -> int:
         parts = list(_subspecs(spec))
         if max((p.degree for p in parts if isinstance(p, LieLayer)), default=0) > cfg.max_class:
             raise UsageError("lie degree exceeds the class bound; use --unsafe-bounds")
-        if max((p.rank for p in parts if isinstance(p, Const)), default=0) > DEFAULT_MAX_CONST_RANK:
-            raise UsageError(
-                f"const rank exceeds the bound {DEFAULT_MAX_CONST_RANK}; use --unsafe-bounds"
-            )
         # every part's basis and action is built, and ranks never fall with r;
         # reversed, each part comes after the parts inside it, so no closed
         # form takes comb of an unbounded inner rank

@@ -143,12 +143,11 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
             raise NotAGroupElement(
                 f"degree-{n} residual is not in the Lie span: {err}"
             ) from err
-        prefix = {(): 1}
+        # (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t: one factor at a time
         for word in sorted(coords):
             e = coords[word]
             exps[LyndonBasisElement(word)] = e
-            prefix = poly_mul(prefix, poly_unit_pow(_basic_series(r, c, word), e, c), c)
-        t = poly_mul(poly_unit_inverse(prefix, c), t, c)
+            t = poly_mul(poly_unit_pow(_basic_series(r, c, word), -e, c), t, c)
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps

@@ -22,12 +22,8 @@ def poly_add(a: dict, b: dict) -> dict:
     return out
 
 
-def poly_neg(a: dict) -> dict:
-    return {w: -c for w, c in a.items()}
-
-
 def poly_sub(a: dict, b: dict) -> dict:
-    return poly_add(a, poly_neg(b))
+    return poly_add(a, poly_scale(b, -1))
 
 
 def poly_scale(a: dict, s: int) -> dict:
@@ -102,34 +98,32 @@ def poly_substitute(polys, letter_images, max_deg: int) -> list:
 
 
 def poly_unit_inverse(a: dict, max_deg: int) -> dict:
-    """Inverse of a series with constant term 1, by the Neumann series."""
-    if a.get((), 0) != 1:
-        raise ValueError("series inverse needs constant term 1")
-    x_neg = poly_neg({w: c for w, c in a.items() if w})
-    out = {(): 1}
-    term = {(): 1}
-    for _ in range(max_deg):
-        term = poly_mul(term, x_neg, max_deg)
-        if not term:
-            break
-        out = poly_add(out, term)
-    return out
+    """Inverse of a series with constant term 1: its power at e = -1."""
+    return poly_unit_pow(a, -1, max_deg)
 
 
 def poly_unit_pow(a: dict, e: int, max_deg: int) -> dict:
-    """Integer power of a series with constant term 1 (negative e allowed)."""
-    if e < 0:
-        a = poly_unit_inverse(a, max_deg)
-        e = -e
-    result = {(): 1}
-    base = a
-    while e:
-        if e & 1:
-            result = poly_mul(result, base, max_deg)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base, max_deg)
-    return result
+    """Integer power of a = 1 + N by the binomial series sum_k C(e, k) N^k.
+
+    C(e, k) = C(e, k-1) * (e-k+1) / k is an exact integer for every integer e,
+    so one series serves every sign; it ends once C(e, k) = 0 (0 <= e < k) or
+    N^k is truncated away.
+    """
+    if a.get((), 0) != 1:
+        raise ValueError("series power needs constant term 1")
+    n = {w: c for w, c in a.items() if w}
+    out = {(): 1}
+    term = {(): 1}
+    binom = 1
+    for k in range(1, max_deg + 1):
+        binom = binom * (e - k + 1) // k
+        if not binom:
+            break
+        term = poly_mul(term, n, max_deg)
+        if not term:
+            break
+        out = poly_add(out, poly_scale(term, binom))
+    return out
 
 
 def poly_group_commutator(a: dict, b: dict, max_deg: int) -> dict:
@@ -159,11 +153,3 @@ class TruncatedSeries:
     @classmethod
     def one(cls, rank: int, class_bound: int) -> "TruncatedSeries":
         return cls(rank, class_bound, {(): 1})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.rank == other.rank
-            and self.class_bound == other.class_bound
-            and self.coefficients == other.coefficients
-        )

@@ -138,6 +138,8 @@ def check_lie_grading(r: int, c: int, rng: random.Random, trials: int = 12) -> C
         n = rng.randint(1, c)
         basis_m = lyndon_basis(r, m)
         basis_n = lyndon_basis(r, n)
+        if not basis_m or not basis_n:
+            continue  # rank 1 has no Lie layer above degree 1
         x = LieElement(r, c, {rng.choice(basis_m): rng.randint(1, 3)})
         y = LieElement(r, c, {rng.choice(basis_n): rng.randint(1, 3)})
         b = lie_bracket(x, y)

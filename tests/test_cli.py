@@ -1,9 +1,15 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilstab.cli import main
 from nilstab.group import element_to_text, parse_element
@@ -102,6 +108,14 @@ def test_element_round_trip_through_cli_syntax():
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "-r", "2", "-c", "2", "--seed", "5")
     assert code == 0
+    lines = out.strip().splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_passes_at_rank_one(capsys):
+    # rank 1 has no Lie layer above degree 1; the suite still runs every check
+    code, out, err = run(capsys, "verify", "-r", "1", "-c", "3")
+    assert code == 0 and not err
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
 
@@ -376,8 +390,6 @@ def test_scan_bounds_lie_degree_by_class_bound(capsys, monkeypatch, spec):
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("const(Z^421)", "const rank"),
-        ("tensor(std, const(Z^500))", "const rank"),
         ("const(Z^99999999999999999999)", "too large"),
     ],
 )
@@ -396,6 +408,8 @@ def test_scan_const_rank_at_the_bound_and_unsafe(capsys):
 @pytest.mark.parametrize(
     "spec",
     [
+        "const(Z^421)",
+        "tensor(std, const(Z^500))",
         "tensor(const(Z^420), const(Z^420))",
         "ext(200, const(Z^420))",
         "ext(99999999999, ext(200, const(Z^420)))",
@@ -412,6 +426,13 @@ def test_scan_module_rank_at_the_bound(capsys):
     argv = ["scan", "--spec", "tensor(lie(3), dual)", "-c", "1", "-r", "6", "--allow-unstable"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "r=6: H_0 = 0" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_kernel_iso_refuses_no_trials(capsys, trials):
+    # a vacuous aut-extension check must not print PASS
+    result = run(capsys, "kernel-iso", "-r", "2", "-c", "2", "--trials", trials)
+    assert _usage_error(result) and "--trials >= 1" in result[2]
 
 
 def _internal_error(result):
@@ -450,3 +471,145 @@ def test_unreadable_json_file_is_a_usage_error(capsys, tmp_path, command):
     assert f"cannot read {missing}: No such file or directory" in result[2]
     result = run(capsys, command, f"@{tmp_path}")  # a directory
     assert _usage_error(result) and f"cannot read {tmp_path}: " in result[2]
+
+
+# --- fuzzed argv: every malformed input is an exit code and a message ---------
+
+_HUGE = "99999999999999999999"
+# mostly integers argparse accepts, so most argvs reach main
+_NUMBERS = st.sampled_from(
+    ["0", "1", "1", "1", "2", "2", "2", "2", "-1", "7", _HUGE, "x", "1.5"]
+)
+_ELEMENTS = st.one_of(
+    st.sampled_from(
+        ["1", "", "a", "b^-1", "[ab]^3", "a^-2 * [ab]", f"b^{_HUGE} * a", "a * b^2 * [abb]^-4",
+         "a *", "[ba]", "[abab]", "z", "a^x", "a^", "^2", f"a^{_HUGE}", "[ab", "**", "c"]
+    ),
+    st.text(alphabet="abcz[]^*-10 ", max_size=12),
+)
+_SPECS = st.one_of(
+    st.sampled_from(
+        ["", "std", "dual", "const", "lie(", "lie(0)", "lie(2)", "lie(7)", "const(Z^0)",
+         "const(Z^-1)", "const(Z^421)", f"const(Z^{_HUGE})", "ext(-1, std)", "ext(0, std)",
+         f"ext({_HUGE}, std)", "hom(std, dual", "tensor(std)", "sum(std, const)", "std)",
+         "std (x) dual", "hom(std, ext(2, dual))", "ext(200, const(Z^420))"]
+    ),
+    st.text(alphabet="stdualconZ^()(x),0123 ", max_size=20),
+)
+_RANGES = st.sampled_from(
+    ["1..2", "2..1", "1..", "..3", "a..b", "0..1", "-1..1", f"1..{_HUGE}", "1..1000000000",
+     "3", "1...2", "", "..", " 1..2", "2..3"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+_IMAGES = '[{"rank":2,"class":1,"exponents":[["a",1],["b",1]]},{"rank":2,"class":1,"exponents":[["b",1]]}]'
+_MATRICES = st.one_of(
+    st.sampled_from(
+        ["[[1,2],[3,4]]", "[]", "[[]]", "[[1,2],[3]]", "[[1.5]]", "[[true]]", "{}", "[1,2]",
+         "null", "[[1,2", "@/nonexistent/m.json", f"[[{_HUGE},0],[0,1]]", '"x"', "[[0,0],[0,0]]",
+         "-"]
+    ),
+    _JSON,
+)
+_ENDOS = st.one_of(
+    st.sampled_from(
+        ['{"rank":2,"class":1,"images":' + _IMAGES + "}", '{"rank":2,"class":1,"images":[]}',
+         '{"rank":0,"class":1,"images":[]}', '{"rank":2,"class":0,"images":' + _IMAGES + "}",
+         '{"rank":2,"class":1,"images":[{"rank":2,"class":1,"exponents":[["c",1]]},{}]}',
+         '{"rank":2,"class":1,"images":[[], 1]}', '{"rank":2}', "[]", "null", "-",
+         "@/nonexistent/e.json", "[[1,2]"]
+    ),
+    _JSON,
+)
+_FORMAT = st.sampled_from(
+    [[], [], [], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]]
+)
+
+
+def _flag(name):
+    return st.sampled_from([[], [], [name], [name], [name], ["--bogus"]])
+
+
+
+@st.composite
+def _argvs(draw):
+    """Argument lists of every subcommand, mostly malformed; never --unsafe-bounds."""
+    n = draw(_NUMBERS)
+    command = draw(
+        st.sampled_from(
+            ["witt", "lyndon", "mul", "inv", "comm", "verify", "kernel-iso", "aut-lift",
+             "scan", "snf", "junk"]
+        )
+    )
+    if command in ("witt", "lyndon"):
+        return [command, "-r", n, "-n", draw(_NUMBERS), *draw(_FORMAT)]
+    if command in ("mul", "inv", "comm"):
+        operands = [draw(_ELEMENTS) for _ in range(1 if command == "inv" else 2)]
+        flag = draw(_flag("--oracle"))
+        return [command, "-r", n, "-c", draw(_NUMBERS), *flag, *draw(_FORMAT), *operands]
+    if command in ("verify", "kernel-iso"):
+        extra = ["--trials", draw(st.sampled_from(["0", "1", "2", "-1", "x"]))]
+        return [command, "-r", n, "-c", draw(_NUMBERS), "--seed", draw(_NUMBERS)] + (
+            extra if command == "kernel-iso" else []
+        )
+    if command == "aut-lift":
+        target = ["--to-class", draw(_NUMBERS)]
+        if draw(st.booleans()):
+            return [command, draw(_ENDOS), *target]
+        images = draw(st.lists(_ELEMENTS, max_size=3))
+        return [command, "--images", *images, "-r", n, "-c", draw(_NUMBERS), *target]
+    if command == "scan":
+        spec, rng = draw(_SPECS), draw(_RANGES)
+        flag = draw(_flag("--allow-unstable"))
+        return [command, "--spec", spec, "-c", n, "-r", rng, *flag, *draw(_FORMAT)]
+    if command == "snf":
+        return [command, draw(_MATRICES), *draw(_FORMAT)]
+    tokens = ["witt", "scan", "-r", "-c", "-n", "--format", "json", "--spec", "std", "a", "1",
+              "2", "1..2", "--images", "--to-class", "--seed", "-h", "--bogus", "-"]
+    return draw(st.lists(st.sampled_from(tokens), max_size=8))
+
+
+def _run_main(argv, stdin_text):
+    """(exit code, stdout, stderr, whether argparse exited) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, from_argparse = main(argv), False
+            except SystemExit as exc:
+                code, from_argparse = exc.code, True
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue(), from_argparse
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    argv=_argvs(),
+    stdin_text=_MATRICES | _ENDOS,
+    max_class=st.sampled_from([None, None, None, None, None, "0", "x", "-1", "2", "1"]),
+)
+@example(argv=["scan", "--spec", "std", "-c", "1", "-r", "1..1000000000"], stdin_text="", max_class=None)
+@example(argv=["scan", "--spec", "std", "-c", "1", "-r", f"1..{_HUGE}"], stdin_text="", max_class=None)
+@example(argv=["verify", "-r", "1", "-c", "2"], stdin_text="", max_class=None)
+def test_fuzzed_argv_exits_cleanly(argv, stdin_text, max_class):
+    saved = os.environ.pop("NILSTAB_MAX_CLASS", None)
+    if max_class is not None:
+        os.environ["NILSTAB_MAX_CLASS"] = max_class
+    try:
+        code, out, err, from_argparse = _run_main(argv, stdin_text)
+        again = _run_main(argv, stdin_text)
+    finally:
+        os.environ.pop("NILSTAB_MAX_CLASS", None)
+        if saved is not None:
+            os.environ["NILSTAB_MAX_CLASS"] = saved
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 3 or (code == 2 and not from_argparse):
+        assert len(err.splitlines()) == 1, err
+    assert again[:2] == (code, out)

@@ -25,7 +25,15 @@ from nilstab.group import (
     truncate,
 )
 from nilstab.lie import LieElement
-from nilstab.series import TruncatedSeries, poly_add, poly_mul, poly_scale, poly_substitute
+from nilstab.series import (
+    TruncatedSeries,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    poly_substitute,
+    poly_unit_inverse,
+    poly_unit_pow,
+)
 from nilstab.verify import random_group_element
 from nilstab.words import LyndonBasisElement, graded_basis, witt_rank
 
@@ -176,6 +184,30 @@ def test_poly_substitute_of_several_matches_each_alone():
         alone = [poly_substitute([poly], images, c)[0] for poly in polys]
         assert poly_substitute(polys, images, c) == alone
     assert poly_substitute([], [{(1,): 1}], 3) == []
+
+
+def test_poly_unit_pow_matches_repeated_products():
+    # random unit series, mostly not group-like, against plain products
+    rng = random.Random(63)
+    big = 10**12
+    for _ in range(12):
+        r, c = rng.randint(1, 3), rng.randint(1, 5)
+        a = {**_random_poly(rng, r, c, 6), (): 1}
+        product = {(): 1}
+        for e in range(6):
+            assert poly_unit_pow(a, e, c) == product
+            product = poly_mul(product, a, c)
+            pos, neg = poly_unit_pow(a, e, c), poly_unit_pow(a, -e, c)
+            assert poly_mul(pos, neg, c) == {(): 1} == poly_mul(neg, pos, c)
+        for _ in range(3):
+            e1 = rng.choice((big, -big)) + rng.randint(-3, 3)
+            e2 = rng.choice((big, -big)) + rng.randint(-3, 3)
+            both = poly_mul(poly_unit_pow(a, e1, c), poly_unit_pow(a, e2, c), c)
+            assert poly_unit_pow(a, e1 + e2, c) == both
+        inverse = poly_unit_inverse(a, c)
+        assert poly_mul(inverse, a, c) == {(): 1} == poly_mul(a, inverse, c)
+    with pytest.raises(ValueError, match="constant term 1"):
+        poly_unit_pow({(): 2, (1,): 1}, 3, 4)
 
 
 def test_lcs_degree():
