@@ -7,6 +7,10 @@ x_i -> 1 + X_i into the truncated series ring; the collected form comes back
 by peeling the series degree by degree.  Uniqueness of the collected form is
 exactly injectivity of the embedding plus the peel.
 
+As [gamma_i, gamma_j] lies in gamma_(i+j), a basic commutator B of degree > c/2
+has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
+the embed and the peel sum them; only degrees <= c/2 take series products.
+
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
 
@@ -54,11 +58,13 @@ class GroupElement:
         if self.rank < 1 or self.class_bound < 1:
             raise ValueError("need rank >= 1 and class >= 1")
         for b, e in self.exponents.items():
+            if type(e) is not int:
+                raise ValueError("exponents must be integers")
             if e == 0:
                 raise ValueError("zero exponent stored")
             if b.degree > self.class_bound:
                 raise ValueError("degree beyond class bound")
-            if any(x > self.rank for x in b.word):
+            if any(not 1 <= x <= self.rank for x in b.word):
                 raise ValueError("letter out of range")
 
     @classmethod
@@ -75,7 +81,7 @@ class GroupElement:
     def from_exponents(cls, rank: int, class_bound: int, exps: dict) -> "GroupElement":
         cleaned = {}
         for key, e in exps.items():
-            if e == 0:
+            if e == 0 and type(e) is int:
                 continue
             b = key if isinstance(key, LyndonBasisElement) else LyndonBasisElement(tuple(key))
             cleaned[b] = e
@@ -114,24 +120,40 @@ class GroupElement:
 
 
 def magnus_embed(g: GroupElement) -> TruncatedSeries:
-    """Product, in basis order, of each basic commutator's series to its exponent."""
+    """Product, in basis order, of each basic commutator's series to its exponent;
+    the factors of degree > c/2 are summed as the linear tail 1 + sum e_b (B_b - 1)."""
     if g._series:
         return g._series[0]
     r, c = g.rank, g.class_bound
     acc = {(): 1}
+    tail = {(): 1}
     for b in sorted(g.exponents, key=LyndonBasisElement.sort_key):
-        power = poly_unit_pow(_basic_series(r, c, b.word), g.exponents[b], c)
-        acc = poly_mul(acc, power, c)
-    result = TruncatedSeries(r, c, acc)
+        basic, e = _basic_series(r, c, b.word), g.exponents[b]
+        if 2 * b.degree > c:
+            _add_linear(tail, e, basic)
+        else:
+            acc = poly_mul(acc, poly_unit_pow(basic, e, c), c)
+    result = TruncatedSeries(r, c, poly_mul(acc, tail, c))
     g._series.append(result)
     return result
+
+
+def _add_linear(t: dict, e: int, basic: dict) -> None:
+    """t += e (B - 1) in place, for the series B of a basic commutator."""
+    for w, x in basic.items():
+        if w:
+            s = t.get(w, 0) + e * x
+            if s:
+                t[w] = s
+            else:
+                del t[w]
 
 
 def _peel(r: int, c: int, coeffs: dict) -> dict:
     """Exponent dict of the collected form of a series, or raise NotAGroupElement."""
     if coeffs.get((), 0) != 1:
         raise NotAGroupElement("constant term is not 1")
-    t = coeffs
+    t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c + 1):
         component = poly_component(t, n)
@@ -143,11 +165,16 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
             raise NotAGroupElement(
                 f"degree-{n} residual is not in the Lie span: {err}"
             ) from err
-        # (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t: one factor at a time
+        # (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t: one factor at a time;
+        # once 2n > c, B^-e t = t - e (B - 1), since (B - 1)(t - 1) has degree >= 2n
         for word in sorted(coords):
             e = coords[word]
             exps[LyndonBasisElement(word)] = e
-            t = poly_mul(poly_unit_pow(_basic_series(r, c, word), -e, c), t, c)
+            basic = _basic_series(r, c, word)
+            if 2 * n > c:
+                _add_linear(t, -e, basic)
+            else:
+                t = poly_mul(poly_unit_pow(basic, -e, c), t, c)
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps

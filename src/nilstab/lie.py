@@ -71,11 +71,13 @@ class LieElement:
 
     def __post_init__(self):
         for b, c in self.terms.items():
+            if type(c) is not int:
+                raise ValueError("coefficients must be integers")
             if c == 0:
                 raise ValueError("zero coefficient stored")
             if b.degree > self.class_bound:
                 raise ValueError("degree beyond class bound")
-            if any(x > self.rank for x in b.word):
+            if any(not 1 <= x <= self.rank for x in b.word):
                 raise ValueError("letter out of range")
 
     @classmethod
@@ -90,7 +92,7 @@ class LieElement:
 
     @classmethod
     def from_word_coords(cls, rank: int, class_bound: int, coords: dict) -> "LieElement":
-        terms = {LyndonBasisElement(w): c for w, c in coords.items() if c}
+        terms = {LyndonBasisElement(w): c for w, c in coords.items() if c or type(c) is not int}
         return cls(rank, class_bound, terms)
 
     def _check(self, other: "LieElement"):

@@ -32,23 +32,23 @@ def poly_scale(a: dict, s: int) -> dict:
     return {w: s * c for w, c in a.items()}
 
 
-def poly_mul(a: dict, b: dict, max_deg: int) -> dict:
-    # bucket by degree once so the pair loop never revisits out-of-range terms
-    a_deg: dict = {}
+def _by_degree(a: dict, max_deg: int) -> list:
+    """The terms of a of degree <= max_deg, bucketed as (degree, [(word, coeff), ...])."""
+    buckets: dict = {}
     for w, c in a.items():
         d = len(w)
         if d <= max_deg:
-            a_deg.setdefault(d, []).append((w, c))
-    b_deg: dict = {}
-    for w, c in b.items():
-        d = len(w)
-        if d <= max_deg:
-            b_deg.setdefault(d, []).append((w, c))
+            buckets.setdefault(d, []).append((w, c))
+    return list(buckets.items())
+
+
+def _mul_buckets(a_deg: list, b_deg: list, max_deg: int) -> dict:
+    # the pair loop never revisits out-of-range terms
     out: dict = {}
     get = out.get
-    for da, terms_a in a_deg.items():
+    for da, terms_a in a_deg:
         room = max_deg - da
-        for db, terms_b in b_deg.items():
+        for db, terms_b in b_deg:
             if db > room:
                 continue
             for w1, c1 in terms_a:
@@ -62,6 +62,10 @@ def poly_mul(a: dict, b: dict, max_deg: int) -> dict:
     return out
 
 
+def poly_mul(a: dict, b: dict, max_deg: int) -> dict:
+    return _mul_buckets(_by_degree(a, max_deg), _by_degree(b, max_deg), max_deg)
+
+
 def poly_component(a: dict, n: int) -> dict:
     return {w: c for w, c in a.items() if len(w) == n}
 
@@ -73,12 +77,18 @@ def poly_substitute(polys, letter_images, max_deg: int) -> list:
     letter.  One prefix table serves every polynomial, so words sharing a
     prefix, in one polynomial or across them, share that product.
     """
+    letters = [_by_degree(image, max_deg) for image in letter_images]
     prefix_cache: dict = {(): {(): 1}}
+    prefix_buckets: dict = {}
 
     def substituted(word: tuple) -> dict:
         cached = prefix_cache.get(word)
         if cached is None:
-            cached = poly_mul(substituted(word[:-1]), letter_images[word[-1] - 1], max_deg)
+            prefix = word[:-1]
+            buckets = prefix_buckets.get(prefix)
+            if buckets is None:
+                buckets = prefix_buckets[prefix] = _by_degree(substituted(prefix), max_deg)
+            cached = _mul_buckets(buckets, letters[word[-1] - 1], max_deg)
             prefix_cache[word] = cached
         return cached
 
@@ -142,13 +152,13 @@ class TruncatedSeries:
     coefficients: dict
 
     def __post_init__(self):
-        for w, c in self.coefficients.items():
-            if c == 0:
-                raise ValueError("zero coefficient stored")
-            if len(w) > self.class_bound:
-                raise ValueError("word beyond class bound")
-            if any(not 1 <= x <= self.rank for x in w):
-                raise ValueError("letter out of range")
+        if 0 in self.coefficients.values():
+            raise ValueError("zero coefficient stored")
+        if self.coefficients and max(map(len, self.coefficients)) > self.class_bound:
+            raise ValueError("word beyond class bound")
+        letters = set().union(*self.coefficients)
+        if letters and not (1 <= min(letters) and max(letters) <= self.rank):
+            raise ValueError("letter out of range")
 
     @classmethod
     def one(cls, rank: int, class_bound: int) -> "TruncatedSeries":

@@ -8,6 +8,8 @@ import pytest
 from nilstab.group import (
     GroupElement,
     NotAGroupElement,
+    _basic_series,
+    _peel,
     center_test,
     comm,
     element_from_json,
@@ -304,27 +306,72 @@ def test_parse_errors():
 
 
 def test_peel_is_sound_on_arbitrary_series():
-    # peel either rejects a series or returns the exact collected preimage
+    # peel either rejects a series or returns the exact collected preimage; at
+    # (2,5) and (3,4) the linear step t - e(B - 1) covers degrees 3..5 and 3..4
     rng = random.Random(28)
     from itertools import product
 
-    r, c = 2, 3
-    words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
-    accepted = 0
-    for _ in range(200):
-        coeffs = {(): 1}
-        for w in rng.sample(words, rng.randint(1, 5)):
-            coeffs[w] = rng.randint(-2, 2)
-        coeffs = {w: x for w, x in coeffs.items() if x}
-        series = TruncatedSeries(2, 3, coeffs)
-        try:
-            g = magnus_peel(series)
-        except NotAGroupElement:
-            continue
-        accepted += 1
-        fresh = GroupElement.from_exponents(r, c, g.exponents)
-        assert magnus_embed(fresh).coefficients == coeffs
-    assert accepted  # some random series do land in the image
+    for r, c in [(2, 3), (2, 5), (3, 4)]:
+        words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
+        accepted = 0
+        for trial in range(200):
+            if trial % 2:
+                coeffs = {(): 1}
+            else:  # a group element's series, perturbed in up to two words
+                coeffs = dict(magnus_embed(random_group_element(rng, r, c)).coefficients)
+            perturbed = rng.sample(words, rng.randint(trial % 2, 2 + 3 * (trial % 2)))
+            for w in perturbed:
+                coeffs[w] = coeffs.get(w, 0) + rng.randint(-2, 2)
+            coeffs = {w: x for w, x in coeffs.items() if x}
+            series = TruncatedSeries(r, c, coeffs)
+            try:
+                g = magnus_peel(series)
+            except NotAGroupElement:
+                assert perturbed  # an unperturbed image is always accepted
+                continue
+            accepted += 1
+            fresh = GroupElement.from_exponents(r, c, g.exponents)
+            assert magnus_embed(fresh).coefficients == coeffs
+        assert accepted  # some random series do land in the image
+
+
+@pytest.mark.parametrize("r, c", [(4, 1), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (2, 6), (2, 7)])
+def test_embed_is_the_ordered_product_of_basic_powers(r, c):
+    # the factors of degree > c/2 enter the embed as a linear tail and leave the
+    # peel by subtraction; the oracle multiplies out every factor's full power
+    rng = random.Random(f"tail/{r}/{c}")
+    for _ in range(6):
+        g = random_group_element(rng, r, c, support=12)
+        exps = {b: e * rng.choice([1, 7, -10**9]) for b, e in g.exponents.items()}
+        product = {(): 1}
+        for b in sorted(exps, key=LyndonBasisElement.sort_key):
+            product = poly_mul(product, poly_unit_pow(_basic_series(r, c, b.word), exps[b], c), c)
+        assert magnus_embed(GroupElement(r, c, exps)).coefficients == product
+        assert _peel(r, c, product) == exps
+
+
+def test_truncated_series_refusals():
+    with pytest.raises(ValueError, match="zero coefficient"):
+        TruncatedSeries(2, 3, {(): 1, (1,): 0})
+    with pytest.raises(ValueError, match="beyond class bound"):
+        TruncatedSeries(2, 3, {(): 1, (1, 2, 2, 2): 1})
+    for letter in (0, 3):
+        with pytest.raises(ValueError, match="letter out of range"):
+            TruncatedSeries(2, 3, {(): 1, (1, letter): 1})
+    assert TruncatedSeries(2, 3, {(): 1, (1, 2, 2): -1}).coefficients == {(): 1, (1, 2, 2): -1}
+
+
+def test_group_element_letters_must_be_in_range():
+    for word in [(0, 1), (-1,), (1, 3)]:
+        with pytest.raises(ValueError, match="letter out of range"):
+            GroupElement.from_exponents(2, 2, {word: 1})
+
+
+def test_group_element_exponents_must_be_ints():
+    for e in (1.5, 2.0, True, False, 0.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            GroupElement.from_exponents(2, 3, {(1,): e, (2,): 1})
+    assert GroupElement.from_exponents(2, 3, {(1,): 0, (2,): 1}) == GroupElement.generator(2, 3, 2)
 
 
 def test_json_codec():

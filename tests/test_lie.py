@@ -15,7 +15,7 @@ from nilstab.lie import (
 )
 from nilstab.series import poly_mul, poly_sub
 from nilstab.verify import random_lie_element, random_unimodular
-from nilstab.words import graded_basis, lyndon_basis, lyndon_words, witt_rank
+from nilstab.words import LyndonBasisElement, graded_basis, lyndon_basis, lyndon_words, witt_rank
 
 BIG = 10**9
 
@@ -196,6 +196,18 @@ def test_mismatch_errors():
         lie_bracket(x, y)
     with pytest.raises(ValueError):
         lie_apply_matrix(((1,),), x)
+
+
+def test_lie_element_letters_and_coefficients_are_checked():
+    for word in [(0,), (-1, 1), (1, 3)]:
+        with pytest.raises(ValueError, match="letter out of range"):
+            LieElement(2, 2, {LyndonBasisElement(word): 1})
+    for c in (1.5, 2.0, True, 0.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            LieElement(2, 2, {LyndonBasisElement((1,)): c})
+        with pytest.raises(ValueError, match="must be integers"):
+            LieElement.from_word_coords(2, 2, {(1, 2): c})
+    assert LieElement.from_word_coords(2, 2, {(1, 2): 0}).is_zero()
 
 
 def test_witt_desk_scale():
