@@ -11,6 +11,12 @@ As [gamma_i, gamma_j] lies in gamma_(i+j), a basic commutator B of degree > c/2
 has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
 the embed and the peel sum them; only degrees <= c/2 take series products.
 
+Every series here has constant term 1, so products are unit products
+(1 + a')(1 + b') = 1 + a' + b' + a'b' that multiply out only the terms whose
+degrees can still pair (series.unit_mul), and [g, h] = 1 + (hg)^-1 (gh - hg),
+where gh - hg = a'b' - b'a' (series.unit_commutator).  poly_mul and
+poly_group_commutator multiply every pair of terms and stay the oracle.
+
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
 
@@ -23,11 +29,13 @@ from functools import lru_cache
 from .lie import LieElement, LieSpanError, lyndon_coordinates
 from .series import (
     TruncatedSeries,
+    add_scaled,
     poly_component,
     poly_group_commutator,
-    poly_mul,
     poly_unit_inverse,
     poly_unit_pow,
+    unit_commutator,
+    unit_mul,
 )
 from .words import LyndonBasisElement, witt_rank
 
@@ -126,27 +134,17 @@ def magnus_embed(g: GroupElement) -> TruncatedSeries:
         return g._series[0]
     r, c = g.rank, g.class_bound
     acc = {(): 1}
-    tail = {(): 1}
+    tail = {}
     for b in sorted(g.exponents, key=LyndonBasisElement.sort_key):
         basic, e = _basic_series(r, c, b.word), g.exponents[b]
         if 2 * b.degree > c:
-            _add_linear(tail, e, basic)
+            add_scaled(tail, e, basic)
         else:
-            acc = poly_mul(acc, poly_unit_pow(basic, e, c), c)
-    result = TruncatedSeries(r, c, poly_mul(acc, tail, c))
+            acc = unit_mul(acc, poly_unit_pow(basic, e, c), c)
+    tail[()] = 1  # the sum of e_b B_b with its constant term set to 1
+    result = TruncatedSeries(r, c, unit_mul(acc, tail, c))
     g._series.append(result)
     return result
-
-
-def _add_linear(t: dict, e: int, basic: dict) -> None:
-    """t += e (B - 1) in place, for the series B of a basic commutator."""
-    for w, x in basic.items():
-        if w:
-            s = t.get(w, 0) + e * x
-            if s:
-                t[w] = s
-            else:
-                del t[w]
 
 
 def _peel(r: int, c: int, coeffs: dict) -> dict:
@@ -167,14 +165,16 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
             ) from err
         # (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t: one factor at a time;
         # once 2n > c, B^-e t = t - e (B - 1), since (B - 1)(t - 1) has degree >= 2n
+        # (t - e B, with the constant term put back to 1)
         for word in sorted(coords):
             e = coords[word]
             exps[LyndonBasisElement(word)] = e
             basic = _basic_series(r, c, word)
             if 2 * n > c:
-                _add_linear(t, -e, basic)
+                add_scaled(t, -e, basic)
+                t[()] = 1
             else:
-                t = poly_mul(poly_unit_pow(basic, -e, c), t, c)
+                t = unit_mul(poly_unit_pow(basic, -e, c), t, c)
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps
@@ -197,7 +197,7 @@ def _from_series(r: int, c: int, coeffs: dict) -> GroupElement:
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     g._check(h)
     c = g.class_bound
-    prod = poly_mul(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
+    prod = unit_mul(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
     return _from_series(g.rank, c, prod)
 
 
@@ -210,9 +210,9 @@ def comm(g: GroupElement, h: GroupElement) -> GroupElement:
     """Group commutator g^-1 h^-1 g h."""
     g._check(h)
     c = g.class_bound
-    series = poly_group_commutator(
-        magnus_embed(g).coefficients, magnus_embed(h).coefficients, c
-    )
+    series = unit_commutator(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
+    if len(series) == 1:  # g and h commute: no peel
+        return GroupElement.identity(g.rank, c)
     return _from_series(g.rank, c, series)
 
 

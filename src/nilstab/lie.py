@@ -13,10 +13,11 @@ the independent oracle for everything the bracket does.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import poly_add, poly_component, poly_mul, poly_scale, poly_sub, poly_substitute
+from .series import add_scaled, poly_mul, poly_sub, poly_substitute
 from .words import LyndonBasisElement, bracketing, is_lyndon, lyndon_words
 
 
@@ -48,16 +49,33 @@ def lyndon_coordinates(component: dict) -> dict:
     Peels the lexicographically smallest remaining word; it must be Lyndon and
     its coefficient is the coordinate (expansion is unitriangular).  Raises
     LieSpanError if the input is not in the integer span.
+
+    The envelope of w is w plus larger words, so subtracting it in place only
+    touches words after w: the words still to visit stay in a sorted list, a
+    new word goes in behind the current one, and a visited word no longer in
+    the residual was cancelled.
     """
     residual = dict(component)
+    order = sorted(residual)
     coords: dict = {}
-    while residual:
-        w = min(residual)
+    i = 0
+    while i < len(order):
+        w = order[i]
+        i += 1
+        e = residual.get(w)
+        if e is None:
+            continue
         if not is_lyndon(w):
             raise LieSpanError(f"word {w} obstructs the Lyndon peel")
-        e = residual[w]
         coords[w] = e
-        residual = poly_sub(residual, poly_scale(envelope_polynomial(w), e))
+        for v, x in envelope_polynomial(w).items():
+            s = residual.get(v, 0) - e * x
+            if s:
+                if v not in residual:
+                    insort(order, v, i)
+                residual[v] = s
+            else:
+                del residual[v]
     return coords
 
 
@@ -131,7 +149,7 @@ class LieElement:
         """Expansion in the free associative ring (degrees <= class_bound)."""
         out: dict = {}
         for b, c in self.terms.items():
-            out = poly_add(out, poly_scale(envelope_polynomial(b.word), c))
+            add_scaled(out, c, envelope_polynomial(b.word))
         return out
 
     def coordinates(self, basis) -> tuple:
@@ -158,12 +176,13 @@ class LieElement:
 
 def lie_from_polynomial(rank: int, class_bound: int, poly: dict) -> LieElement:
     """Pull an associative polynomial back to the Lyndon basis, degree by degree."""
+    components: dict = {}
+    for w, c in poly.items():
+        if 0 < len(w) <= class_bound:
+            components.setdefault(len(w), {})[w] = c
     coords: dict = {}
-    degrees = sorted({len(w) for w in poly})
-    for n in degrees:
-        if n == 0 or n > class_bound:
-            continue
-        coords.update(lyndon_coordinates(poly_component(poly, n)))
+    for n in sorted(components):
+        coords.update(lyndon_coordinates(components[n]))
     return LieElement.from_word_coords(rank, class_bound, coords)
 
 

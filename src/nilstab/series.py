@@ -11,25 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
+def add_scaled(t: dict, s: int, a: dict) -> None:
+    """t += s * a, in place."""
+    get = t.get
+    for w, x in a.items():
+        v = get(w, 0) + s * x
+        if v:
+            t[w] = v
         else:
-            out.pop(w, None)
-    return out
+            t.pop(w, None)
 
 
 def poly_sub(a: dict, b: dict) -> dict:
-    return poly_add(a, poly_scale(b, -1))
-
-
-def poly_scale(a: dict, s: int) -> dict:
-    if s == 0:
-        return {}
-    return {w: s * c for w, c in a.items()}
+    out = dict(a)
+    add_scaled(out, -1, b)
+    return out
 
 
 def _by_degree(a: dict, max_deg: int) -> list:
@@ -42,9 +38,9 @@ def _by_degree(a: dict, max_deg: int) -> list:
     return list(buckets.items())
 
 
-def _mul_buckets(a_deg: list, b_deg: list, max_deg: int) -> dict:
+def _mul_buckets(a_deg: list, b_deg: list, max_deg: int, out: dict) -> dict:
+    """out += the product of two bucketed polynomials, truncated at max_deg."""
     # the pair loop never revisits out-of-range terms
-    out: dict = {}
     get = out.get
     for da, terms_a in a_deg:
         room = max_deg - da
@@ -63,7 +59,54 @@ def _mul_buckets(a_deg: list, b_deg: list, max_deg: int) -> dict:
 
 
 def poly_mul(a: dict, b: dict, max_deg: int) -> dict:
-    return _mul_buckets(_by_degree(a, max_deg), _by_degree(b, max_deg), max_deg)
+    return _mul_buckets(_by_degree(a, max_deg), _by_degree(b, max_deg), max_deg, {})
+
+
+def _low_degree(a: dict, max_deg: int) -> int:
+    """Least degree of a nonconstant term of a; max_deg + 1 if there is none."""
+    return min(map(len, filter(None, a)), default=max_deg + 1)
+
+
+def _pairing_buckets(a: dict, b: dict, max_deg: int) -> tuple:
+    """Buckets of the nonconstant parts a', b' holding only the terms that can pair:
+    those of a' of degree <= max_deg - (least degree of b'), and likewise for b'."""
+    a_deg = _by_degree(a, max_deg - _low_degree(b, max_deg))
+    b_deg = _by_degree(b, max_deg - _low_degree(a, max_deg))
+    return [x for x in a_deg if x[0]], [x for x in b_deg if x[0]]
+
+
+def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
+    """(1 + a')(1 + b') = 1 + a' + b' + a'b' for truncated series with constant term 1.
+
+    Copies the larger operand, adds the smaller one in place, and multiplies
+    out only the terms of a' and b' that can pair under truncation.
+    """
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    out = dict(big)
+    add_scaled(out, 1, small)
+    out[()] = 1
+    return _mul_buckets(*_pairing_buckets(a, b, max_deg), max_deg, out)
+
+
+def unit_commutator(a: dict, b: dict, max_deg: int) -> dict:
+    """a^-1 b^-1 a b = 1 + (ba)^-1 (ab - ba) for truncated series with constant term 1.
+
+    ab - ba = a'b' - b'a' comes from the nonconstant parts alone.  If its least
+    degree is m, only degrees <= max_deg - m of a, b and (ba)^-1 can reach the
+    result.  Returns {(): 1} when a and b commute.
+    """
+    a_deg, b_deg = _pairing_buckets(a, b, max_deg)
+    diff = _mul_buckets(a_deg, b_deg, max_deg, {})
+    add_scaled(diff, -1, _mul_buckets(b_deg, a_deg, max_deg, {}))
+    if not diff:
+        return {(): 1}
+    room = max_deg - _low_degree(diff, max_deg)
+    low_a = {w: x for w, x in a.items() if len(w) <= room}
+    low_b = {w: x for w, x in b.items() if len(w) <= room}
+    ba_inverse = poly_unit_inverse(unit_mul(low_b, low_a, room), room)
+    out = _mul_buckets(*_pairing_buckets(ba_inverse, diff, max_deg), max_deg, dict(diff))
+    out[()] = 1
+    return out
 
 
 def poly_component(a: dict, n: int) -> dict:
@@ -88,7 +131,7 @@ def poly_substitute(polys, letter_images, max_deg: int) -> list:
             buckets = prefix_buckets.get(prefix)
             if buckets is None:
                 buckets = prefix_buckets[prefix] = _by_degree(substituted(prefix), max_deg)
-            cached = _mul_buckets(buckets, letters[word[-1] - 1], max_deg)
+            cached = _mul_buckets(buckets, letters[word[-1] - 1], max_deg, {})
             prefix_cache[word] = cached
         return cached
 
@@ -121,7 +164,8 @@ def poly_unit_pow(a: dict, e: int, max_deg: int) -> dict:
     """
     if a.get((), 0) != 1:
         raise ValueError("series power needs constant term 1")
-    n = {w: c for w, c in a.items() if w}
+    n_deg = [x for x in _by_degree(a, max_deg) if x[0]]
+    room = max_deg - _low_degree(a, max_deg)
     out = {(): 1}
     term = {(): 1}
     binom = 1
@@ -129,10 +173,11 @@ def poly_unit_pow(a: dict, e: int, max_deg: int) -> dict:
         binom = binom * (e - k + 1) // k
         if not binom:
             break
-        term = poly_mul(term, n, max_deg)
+        # only the terms of N^(k-1) of degree <= room can pair with N
+        term = _mul_buckets(_by_degree(term, room), n_deg, max_deg, {})
         if not term:
             break
-        out = poly_add(out, poly_scale(term, binom))
+        add_scaled(out, binom, term)
     return out
 
 

@@ -29,12 +29,14 @@ from nilstab.group import (
 from nilstab.lie import LieElement
 from nilstab.series import (
     TruncatedSeries,
-    poly_add,
+    add_scaled,
+    poly_group_commutator,
     poly_mul,
-    poly_scale,
     poly_substitute,
     poly_unit_inverse,
     poly_unit_pow,
+    unit_commutator,
+    unit_mul,
 )
 from nilstab.verify import random_group_element
 from nilstab.words import LyndonBasisElement, graded_basis, witt_rank
@@ -150,10 +152,10 @@ def test_truncate():
         truncate(g, 5)
 
 
-def _random_poly(rng, r, max_deg, terms):
+def _random_poly(rng, r, max_deg, terms, min_deg=0):
     poly = {}
     for _ in range(terms):
-        word = tuple(rng.randint(1, r) for _ in range(rng.randint(0, max_deg)))
+        word = tuple(rng.randint(1, r) for _ in range(rng.randint(min_deg, max_deg)))
         poly[word] = poly.get(word, 0) + rng.randint(-3, 3)
     return {w: c for w, c in poly.items() if c}
 
@@ -169,7 +171,7 @@ def test_poly_substitute_matches_word_by_word_products():
             product = {(): 1}
             for x in word:
                 product = poly_mul(product, images[x - 1], c)
-            expected = poly_add(expected, poly_scale(product, coeff))
+            add_scaled(expected, coeff, product)
         assert poly_substitute([poly], images, c) == [expected]
     letters = [{(i,): 1} for i in (1, 2)]
     assert poly_substitute([{(1, 2): 5, (2,): -1}], letters, 1) == [{(2,): -1}]
@@ -210,6 +212,73 @@ def test_poly_unit_pow_matches_repeated_products():
         assert poly_mul(inverse, a, c) == {(): 1} == poly_mul(a, inverse, c)
     with pytest.raises(ValueError, match="constant term 1"):
         poly_unit_pow({(): 2, (1,): 1}, 3, 4)
+
+
+def test_unit_mul_and_unit_commutator_match_the_pair_loop():
+    # the fast unit products skip terms that cannot pair; the oracle multiplies all
+    rng = random.Random(64)
+    for _ in range(300):
+        r, c = rng.randint(1, 3), rng.randint(1, 6)
+        # least degrees 1..c; an empty or one-term nonconstant part now and then
+        a, b = (
+            {**_random_poly(rng, r, c, rng.choice((0, 1, 2, 5, 12)), rng.randint(1, c)), (): 1}
+            for _ in range(2)
+        )
+        assert unit_mul(a, b, c) == poly_mul(a, b, c)
+        assert unit_mul(b, a, c) == poly_mul(b, a, c)
+        assert unit_commutator(a, b, c) == poly_group_commutator(a, b, c)
+    assert unit_mul({(): 1}, {(): 1}, 3) == {(): 1}
+    assert unit_mul({(): 1, (1,): 1}, {(): 1, (1,): -1}, 2) == {(): 1, (1, 1): -1}
+    t = {(): 1, (1,): 2}
+    add_scaled(t, 0, {(2,): 5})
+    add_scaled(t, -2, {(1,): 1, (2,): 1})
+    assert t == {(): 1, (2,): -2}
+
+
+def _oracle_comm(g, h):
+    r, c = g.rank, g.class_bound
+    series = poly_group_commutator(
+        magnus_embed(GroupElement.from_exponents(r, c, g.exponents)).coefficients,
+        magnus_embed(GroupElement.from_exponents(r, c, h.exponents)).coefficients,
+        c,
+    )
+    return magnus_peel(TruncatedSeries(r, c, series))
+
+
+@pytest.mark.parametrize("r, c", [(2, 5), (3, 4), (3, 6), (4, 4)])
+def test_comm_matches_the_series_commutator(r, c):
+    # generators, low-degree products, random elements, g = h, the identity,
+    # and top-degree elements of support 1 (central, so the difference is empty)
+    rng = random.Random(f"comm/{r}/{c}")
+    top = [b for b in graded_basis(r, c) if b.degree == c]
+    pool = [GroupElement.identity(r, c), *gens(r, c)]
+    pool += [GroupElement(r, c, {rng.choice(top): rng.choice((-2, 1, 3))}) for _ in range(2)]
+    pool += [mul(rng.choice(pool[1:]), random_group_element(rng, r, c)) for _ in range(3)]
+    pool += [random_group_element(rng, r, c, support=4) for _ in range(2)]
+    for g in pool:
+        for h in rng.sample(pool, 5) + [g]:
+            assert comm(g, h) == _oracle_comm(g, h)
+
+
+def test_comm_does_not_use_the_oracle_commutator(monkeypatch):
+    # once the basic series are cached, comm must not lean on the oracle it is checked by
+    r, c = 3, 5
+    rng = random.Random(65)
+    pairs = [
+        (random_group_element(rng, r, c, support=5), random_group_element(rng, r, c))
+        for _ in range(6)
+    ]
+    pairs += [(a, b) for a in gens(r, c) for b in gens(r, c)]
+    expected = [_oracle_comm(g, h) for g, h in pairs]
+
+    def refuse(*args):
+        raise AssertionError("poly_group_commutator called")
+
+    monkeypatch.setattr("nilstab.series.poly_group_commutator", refuse)
+    monkeypatch.setattr("nilstab.group.poly_group_commutator", refuse)
+    for (g, h), want in zip(pairs, expected):
+        fresh = [GroupElement.from_exponents(r, c, x.exponents) for x in (g, h)]
+        assert comm(*fresh) == want
 
 
 def test_lcs_degree():

@@ -13,9 +13,16 @@ from nilstab.lie import (
     lie_bracket,
     lyndon_coordinates,
 )
-from nilstab.series import poly_mul, poly_sub
+from nilstab.series import add_scaled, poly_mul, poly_sub
 from nilstab.verify import random_lie_element, random_unimodular
-from nilstab.words import LyndonBasisElement, graded_basis, lyndon_basis, lyndon_words, witt_rank
+from nilstab.words import (
+    LyndonBasisElement,
+    graded_basis,
+    is_lyndon,
+    lyndon_basis,
+    lyndon_words,
+    witt_rank,
+)
 
 BIG = 10**9
 
@@ -167,8 +174,6 @@ def test_lyndon_coordinates_sound_on_arbitrary_polynomials():
     rng = random.Random(18)
     from itertools import product
 
-    from nilstab.series import poly_add, poly_scale
-
     words = list(product((1, 2), repeat=3))
     accepted = 0
     for _ in range(200):
@@ -184,9 +189,45 @@ def test_lyndon_coordinates_sound_on_arbitrary_polynomials():
         accepted += 1
         rebuilt: dict = {}
         for w, e in coords.items():
-            rebuilt = poly_add(rebuilt, poly_scale(envelope_polynomial(w), e))
+            add_scaled(rebuilt, e, envelope_polynomial(w))
         assert rebuilt == poly
     assert accepted
+
+
+def _min_scan_coordinates(component):
+    """The copy-and-min Lyndon peel: the reference for the worklist peel."""
+    residual = dict(component)
+    coords = {}
+    while residual:
+        w = min(residual)
+        if not is_lyndon(w):
+            raise LieSpanError(f"word {w} obstructs the Lyndon peel")
+        e = coords[w] = residual[w]
+        residual = poly_sub(residual, {v: e * x for v, x in envelope_polynomial(w).items()})
+    return coords
+
+
+def test_lyndon_coordinates_match_the_min_scan_peel():
+    # Lie elements (mostly accepted) and perturbed ones (mostly refused): same
+    # coordinates in the same order, or the same error
+    rng = random.Random(19)
+    for _ in range(150):
+        r, n = rng.randint(1, 3), rng.randint(1, 6)
+        words = lyndon_words(r, n)
+        poly = {}
+        for w in rng.sample(words, min(len(words), rng.randint(1, 6))):
+            add_scaled(poly, rng.randint(-4, 4), envelope_polynomial(w))
+        if rng.random() < 0.4:
+            w = tuple(rng.randint(1, r) for _ in range(n))
+            add_scaled(poly, 1, {w: rng.choice((-1, 1, 2))})
+        try:
+            want = list(_min_scan_coordinates(poly).items())
+        except LieSpanError as err:
+            with pytest.raises(LieSpanError) as got:
+                lyndon_coordinates(poly)
+            assert str(got.value) == str(err)
+            continue
+        assert list(lyndon_coordinates(poly).items()) == want
 
 
 def test_mismatch_errors():
