@@ -2,10 +2,16 @@
 
 An endomorphism is its list of generator images.  Applying one to an element
 happens on the Magnus side: the ring substitution X_i -> embed(image_i) - 1
-followed by the peel.  The projection to class c-1, the set-theoretic lift
-back, and the mutually inverse maps between the kernel of the projection and
-integer matrices (one column of top-degree coordinates per generator) realize
-the automorphism tower step by step.
+followed by the peel.  Both run on S(r, c) only, the empty word and every
+suffix of a Lyndon word of length <= c (118 of the 340 words at (4,4)): the
+peel reads Lyndon-word coefficients, and as S is suffix-closed, the image of
+a word w, L_(w_1) * image(w[1:]), read on S needs image(w[1:]) on S alone.
+The residual check ends the peel; the results carry no cached series.
+
+The projection to class c-1, the set-theoretic lift back, and the mutually
+inverse maps between the kernel of the projection and integer matrices (one
+column of top-degree coordinates per generator) realize the automorphism
+tower step by step.
 """
 
 from __future__ import annotations
@@ -15,17 +21,17 @@ from dataclasses import dataclass
 from . import intlinalg
 from .group import (
     GroupElement,
-    _from_series,
     _json_fields,
     element_from_json,
     element_to_json,
     inv,
     magnus_embed,
     mul,
+    peel_on_support,
     truncate,
 )
 from .series import poly_substitute
-from .words import LyndonBasisElement, lyndon_basis, witt_rank
+from .words import LyndonBasisElement, lyndon_basis, lyndon_suffix_splits, witt_rank
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,14 @@ def endo_from_images(images) -> Endo:
 
 
 def _substitute(e: Endo, elements) -> tuple:
-    """e applied to each element, by one ring substitution on their Magnus series."""
-    c = e.class_bound
+    """e applied to each element, by one ring substitution on their Magnus series,
+    kept on the Lyndon-suffix support and peeled there."""
+    r, c = e.rank, e.class_bound
     # X_i goes to embed(image) - 1
     letters = [{w: x for w, x in magnus_embed(img).coefficients.items() if w} for img in e.images]
     series = [magnus_embed(g).coefficients for g in elements]
-    return tuple(_from_series(e.rank, c, out) for out in poly_substitute(series, letters, c))
+    images = poly_substitute(series, letters, c, lyndon_suffix_splits(r, c))
+    return tuple(GroupElement(r, c, peel_on_support(r, c, out)) for out in images)
 
 
 def apply_endo(e: Endo, g: GroupElement) -> GroupElement:

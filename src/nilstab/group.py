@@ -11,6 +11,12 @@ As [gamma_i, gamma_j] lies in gamma_(i+j), a basic commutator B of degree > c/2
 has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
 the embed and the peel sum them; only degrees <= c/2 take series products.
 
+The peel reads only Lyndon-word coefficients, which determine the exponents
+through unitriangular systems, and accepts a series only if nothing is left
+once every factor is divided out.  So it also runs on S(r, c), the empty word
+and the suffixes of the Lyndon words of length <= c (peel_on_support, for
+series that autos substitutes there).
+
 Every series here has constant term 1, so products are unit products
 (1 + a')(1 + b') = 1 + a' + b' + a'b' that multiply out only the terms whose
 degrees can still pair (series.unit_mul), and [g, h] = 1 + (hg)^-1 (gh - hg),
@@ -26,18 +32,18 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .lie import LieElement, LieSpanError, lyndon_coordinates
+from .lie import LieElement, envelope_polynomial
 from .series import (
     TruncatedSeries,
     add_scaled,
-    poly_component,
+    left_mul_on,
     poly_group_commutator,
     poly_unit_inverse,
     poly_unit_pow,
     unit_commutator,
     unit_mul,
 )
-from .words import LyndonBasisElement, witt_rank
+from .words import LyndonBasisElement, lyndon_basis, lyndon_suffix_splits, witt_rank
 
 
 class NotAGroupElement(ValueError):
@@ -147,37 +153,94 @@ def magnus_embed(g: GroupElement) -> TruncatedSeries:
     return result
 
 
-def _peel(r: int, c: int, coeffs: dict) -> dict:
-    """Exponent dict of the collected form of a series, or raise NotAGroupElement."""
-    if coeffs.get((), 0) != 1:
-        raise NotAGroupElement("constant term is not 1")
-    t = dict(coeffs)
+@lru_cache(maxsize=None)
+def _envelope_table(r: int, n: int) -> tuple:
+    """The degree-n envelopes on the Lyndon words: for each basis element b of
+    degree n, in increasing order, the pairs (v, coefficient of v in env(b)) for
+    the Lyndon words v > b.word of degree n.  The envelope of a Lyndon word is
+    the word plus larger words, so the system is unitriangular."""
+    basis = lyndon_basis(r, n)
+    lyndon = {b.word for b in basis}
+    table = []
+    for b in basis:
+        env = envelope_polynomial(b.word)
+        table.append((b, tuple((v, x) for v, x in env.items() if v in lyndon and v != b.word)))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _tail_basis(r: int, c: int) -> tuple:
+    """The basis elements of degree > c/2, in basis order."""
+    return tuple(b for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n))
+
+
+def _collect(r: int, c: int, t: dict, left_mul, basic) -> dict:
+    """Exponent dict of the collected form of a unit series t, or raise NotAGroupElement.
+
+    Reads only Lyndon-word coefficients.  Degree n <= c/2: the degree-n Lie
+    part of the residual has the coordinates that forward substitution over
+    the degree-n envelope table finds in t's Lyndon-word coefficients; then
+    (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t, one left factor at a
+    time (left_mul(p, t) = p t).  Degrees > c/2: these factors multiply by
+    addition, so what is left is 1 + sum e_b (B_b - 1), and B_b - 1 is b plus
+    words later in basis order: each e_b is t's coefficient on b once the
+    earlier e(B - 1) are subtracted (basic(r, c, word) is B_b as t carries it).
+    The residual must then be exactly 1; an input outside the image leaves a
+    term that no factor removed.
+    """
     exps: dict = {}
-    for n in range(1, c + 1):
-        component = poly_component(t, n)
-        if not component:
-            continue
-        try:
-            coords = lyndon_coordinates(component)
-        except LieSpanError as err:
-            raise NotAGroupElement(
-                f"degree-{n} residual is not in the Lie span: {err}"
-            ) from err
-        # (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t: one factor at a time;
-        # once 2n > c, B^-e t = t - e (B - 1), since (B - 1)(t - 1) has degree >= 2n
-        # (t - e B, with the constant term put back to 1)
-        for word in sorted(coords):
-            e = coords[word]
-            exps[LyndonBasisElement(word)] = e
-            basic = _basic_series(r, c, word)
-            if 2 * n > c:
-                add_scaled(t, -e, basic)
-                t[()] = 1
-            else:
-                t = unit_mul(poly_unit_pow(basic, -e, c), t, c)
+    for n in range(1, c // 2 + 1):
+        coords = []
+        taken: dict = {}
+        for b, later in _envelope_table(r, n):
+            e = t.get(b.word, 0) - taken.get(b.word, 0)
+            if e:
+                coords.append((b, e))
+                for v, x in later:
+                    taken[v] = taken.get(v, 0) + e * x
+        for b, e in coords:
+            exps[b] = e
+            t = left_mul(poly_unit_pow(_basic_series(r, c, b.word), -e, c), t)
+    for b in _tail_basis(r, c):
+        e = t.get(b.word)
+        if e:
+            exps[b] = e
+            add_scaled(t, -e, basic(r, c, b.word))
+            t[()] = 1
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps
+
+
+def _peel(r: int, c: int, coeffs: dict) -> dict:
+    """Exponent dict of the collected form of a full series, or raise NotAGroupElement."""
+    if coeffs.get((), 0) != 1:
+        raise NotAGroupElement("constant term is not 1")
+    return _collect(r, c, dict(coeffs), lambda p, t: unit_mul(p, t, c), _basic_series)
+
+
+@lru_cache(maxsize=None)
+def _basic_on_support(r: int, c: int, word: tuple) -> dict:
+    """The Magnus series of a basic commutator, on the Lyndon-suffix support S(r, c)."""
+    splits = lyndon_suffix_splits(r, c)
+    return {w: x for w, x in _basic_series(r, c, word).items() if w in splits}
+
+
+def peel_on_support(r: int, c: int, coeffs: dict) -> dict:
+    """Exponent dict of a group element from its Magnus series read on S(r, c) only,
+    the empty word and the suffixes of the Lyndon words of length <= c.
+
+    S is suffix-closed, so each left product B^-e t of the peel is exact on S.
+    Whether a series known only on S lies in the image cannot be decided, so
+    this is for series computed from group elements; the residual check still
+    catches a fault in that computation.
+    """
+    if coeffs.get((), 0) != 1:
+        raise NotAGroupElement("constant term is not 1")
+    splits = lyndon_suffix_splits(r, c)
+    return _collect(
+        r, c, dict(coeffs), lambda p, t: left_mul_on(p, t, splits, dict(t)), _basic_on_support
+    )
 
 
 def magnus_peel(s: TruncatedSeries) -> GroupElement:

@@ -109,43 +109,66 @@ def unit_commutator(a: dict, b: dict, max_deg: int) -> dict:
     return out
 
 
-def poly_component(a: dict, n: int) -> dict:
-    return {w: c for w, c in a.items() if len(w) == n}
+def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
+    """out += (p - p[()]) t read on a suffix-closed word set S, in place.
+
+    splits is the table of S (words.lyndon_suffix_splits): each v in S with
+    the pairs (u, uv), u nonempty, that lie in S.  t must be supported on S.
+    """
+    get, p_get = out.get, p.get
+    for v, cv in t.items():
+        for u, x in splits[v]:
+            cu = p_get(u)
+            if cu:
+                s = get(x, 0) + cu * cv
+                if s:
+                    out[x] = s
+                else:
+                    del out[x]
+    return out
 
 
-def poly_substitute(polys, letter_images, max_deg: int) -> list:
+def poly_substitute(polys, letter_images, max_deg: int, support: dict = None) -> list:
     """Ring substitution X_i -> letter_images[i - 1] of each of polys, truncated at max_deg.
 
-    Each word's image is the image of its prefix times the image of its last
-    letter.  One prefix table serves every polynomial, so words sharing a
-    prefix, in one polynomial or across them, share that product.
+    Each word's image is the image of its first letter times the image of
+    the rest.  One suffix table serves every polynomial, so words sharing a
+    suffix, in one polynomial or across them, share that product.
+
+    With support, the split table of a suffix-closed word set S (see
+    left_mul_on), and letter images without constant term, every image is
+    kept on S only: a left product read on S reads its right factor on S
+    alone, so the results are exact on S.
     """
-    letters = [_by_degree(image, max_deg) for image in letter_images]
-    prefix_cache: dict = {(): {(): 1}}
-    prefix_buckets: dict = {}
+    if support is None:
+        letters = [_by_degree(image, max_deg) for image in letter_images]
+        tail_buckets: dict = {}
+
+        def times_letter(i: int, tail: tuple, image: dict) -> dict:
+            buckets = tail_buckets.get(tail)
+            if buckets is None:
+                buckets = tail_buckets[tail] = _by_degree(image, max_deg)
+            return _mul_buckets(letters[i - 1], buckets, max_deg, {})
+
+    else:
+
+        def times_letter(i: int, tail: tuple, image: dict) -> dict:
+            return left_mul_on(letter_images[i - 1], image, support, {})
+
+    suffix_cache: dict = {(): {(): 1}}
 
     def substituted(word: tuple) -> dict:
-        cached = prefix_cache.get(word)
+        cached = suffix_cache.get(word)
         if cached is None:
-            prefix = word[:-1]
-            buckets = prefix_buckets.get(prefix)
-            if buckets is None:
-                buckets = prefix_buckets[prefix] = _by_degree(substituted(prefix), max_deg)
-            cached = _mul_buckets(buckets, letters[word[-1] - 1], max_deg, {})
-            prefix_cache[word] = cached
+            tail = word[1:]
+            cached = suffix_cache[word] = times_letter(word[0], tail, substituted(tail))
         return cached
 
     images = []
     for poly in polys:
         out: dict = {}
-        get = out.get
         for word, coeff in poly.items():
-            for w, c in substituted(word).items():
-                s = get(w, 0) + coeff * c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            add_scaled(out, coeff, substituted(word))
         images.append(out)
     return images
 

@@ -84,6 +84,25 @@ def lyndon_words(r: int, n: int) -> list[tuple]:
     return out
 
 
+@lru_cache(maxsize=None)
+def lyndon_suffix_splits(r: int, c: int) -> dict:
+    """S(r, c), the empty word and every suffix of a Lyndon word of length <= c,
+    as a table: each v in S maps to the pairs (u, uv) with u nonempty and uv in S.
+
+    S is suffix-closed, so a left product p.t read on S needs t on S alone:
+    (p t)[x] = sum over x = u v of p[u] t[v], and every such v is in S.
+    """
+    words = {()}
+    for n in range(1, c + 1):
+        for w in lyndon_words(r, n):
+            words.update(w[k:] for k in range(n))
+    splits: dict = {v: [] for v in sorted(words, key=lambda w: (len(w), w))}
+    for x in splits:
+        for k in range(1, len(x) + 1):
+            splits[x[k:]].append((x[:k], x))
+    return {v: tuple(pairs) for v, pairs in splits.items()}
+
+
 def standard_factorization(word: tuple) -> tuple[tuple, tuple]:
     """Split word = u.v with v the lexicographically smallest proper suffix."""
     if len(word) < 2:

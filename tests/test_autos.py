@@ -88,9 +88,9 @@ def test_compose_substitutes_once(monkeypatch):
     e1, e2 = random_automorphism(rng, 3, 3), random_automorphism(rng, 3, 3)
     substituted = []
 
-    def counted(polys, letter_images, max_deg):
+    def counted(polys, letter_images, max_deg, support=None):
         substituted.append(len(polys))
-        return poly_substitute(polys, letter_images, max_deg)
+        return poly_substitute(polys, letter_images, max_deg, support)
 
     monkeypatch.setattr(autos, "poly_substitute", counted)
     compose(e1, e2)

@@ -51,12 +51,15 @@ EXPONENTS = st.sampled_from([-3, -2, -1, 1, 2, 3, 10**12, -(10**12)])
 # (basis index, exponent) pairs; the index is taken modulo the basis size
 TERMS = st.lists(st.tuples(st.integers(0, 10**6), EXPONENTS), max_size=4)
 # unimodular matrices as products of elementary, swap and sign moves
-MOVES = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1, 2])), max_size=4)
+MOVES = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1, 2])), max_size=4
+)
 
 
 def _fresh(g: GroupElement) -> dict:
     """Magnus series of a copy of g that has no cached embedding."""
-    return magnus_embed(GroupElement.from_exponents(g.rank, g.class_bound, g.exponents)).coefficients
+    copy = GroupElement.from_exponents(g.rank, g.class_bound, g.exponents)
+    return magnus_embed(copy).coefficients
 
 
 def _full_substitute(e: Endo, elements) -> list:
@@ -177,7 +180,9 @@ class TowerMachine(RuleBasedStateMachine):
         assert _full_substitute(f, e.images) == generators
         return f
 
-    @rule(target=autos, entries=st.lists(EXPONENTS, min_size=1, max_size=6), degree=st.integers(2, 7))
+    @rule(
+        target=autos, entries=st.lists(EXPONENTS, min_size=1, max_size=6), degree=st.integers(2, 7)
+    )
     def flat_sharp(self, entries, degree):
         k = min(degree, self.c)
         rows = witt_rank(self.r, k)

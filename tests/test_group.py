@@ -10,6 +10,7 @@ from nilstab.group import (
     NotAGroupElement,
     _basic_series,
     _peel,
+    peel_on_support,
     center_test,
     comm,
     element_from_json,
@@ -39,7 +40,13 @@ from nilstab.series import (
     unit_mul,
 )
 from nilstab.verify import random_group_element
-from nilstab.words import LyndonBasisElement, graded_basis, witt_rank
+from nilstab.words import (
+    LyndonBasisElement,
+    graded_basis,
+    is_lyndon,
+    lyndon_suffix_splits,
+    witt_rank,
+)
 
 
 def gens(r, c):
@@ -188,6 +195,20 @@ def test_poly_substitute_of_several_matches_each_alone():
         alone = [poly_substitute([poly], images, c)[0] for poly in polys]
         assert poly_substitute(polys, images, c) == alone
     assert poly_substitute([], [{(1,): 1}], 3) == []
+
+
+def test_poly_substitute_on_a_support_is_the_full_substitution_there():
+    # letter images may be empty or a single term; the support is S(r, c)
+    rng = random.Random(64)
+    for _ in range(60):
+        r, c = rng.choice(((1, 4), (2, 3), (3, 4), (2, 5), (2, 6), (3, 6)))
+        splits = lyndon_suffix_splits(r, c)
+        polys = [_random_poly(rng, r, c, 8) for _ in range(rng.randint(1, 3))] + [{}]
+        images = [_random_poly(rng, r, c, rng.choice((0, 1, 1, 3, 8)), min_deg=1) for _ in range(r)]
+        full = poly_substitute(polys, images, c)
+        assert poly_substitute(polys, images, c, splits) == [
+            {w: x for w, x in image.items() if w in splits} for image in full
+        ]
 
 
 def test_poly_unit_pow_matches_repeated_products():
@@ -402,6 +423,35 @@ def test_peel_is_sound_on_arbitrary_series():
             fresh = GroupElement.from_exponents(r, c, g.exponents)
             assert magnus_embed(fresh).coefficients == coeffs
         assert accepted  # some random series do land in the image
+
+
+@pytest.mark.parametrize("r, c", [(3, 1), (2, 3), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6), (2, 7)])
+def test_peel_on_support_matches_the_full_peel(r, c):
+    # the series of dense elements, read on S(r, c) only, give the same exponents
+    rng = random.Random(f"support-peel/{r}/{c}")
+    splits = lyndon_suffix_splits(r, c)
+    for _ in range(8):
+        g = mul(random_group_element(rng, r, c), random_group_element(rng, r, c, support=12))
+        full = magnus_embed(GroupElement.from_exponents(r, c, g.exponents)).coefficients
+        on_support = {w: x for w, x in full.items() if w in splits}
+        assert peel_on_support(r, c, on_support) == _peel(r, c, full) == g.exponents
+
+
+def test_peel_on_support_rejects_a_perturbed_non_lyndon_word():
+    # the Lyndon coefficients still give exponents, but the residual on S is not 1
+    rng = random.Random(66)
+    for r, c in [(2, 4), (3, 4), (2, 6), (4, 3)]:
+        splits = lyndon_suffix_splits(r, c)
+        non_lyndon = [w for w in splits if w and not is_lyndon(w)]
+        assert non_lyndon
+        for _ in range(20):
+            full = magnus_embed(random_group_element(rng, r, c)).coefficients
+            series = {w: x for w, x in full.items() if w in splits}
+            word = rng.choice(non_lyndon)
+            series[word] = series.get(word, 0) + rng.choice((-2, -1, 1, 2))
+            series = {w: x for w, x in series.items() if x}
+            with pytest.raises(NotAGroupElement):
+                peel_on_support(r, c, series)
 
 
 @pytest.mark.parametrize("r, c", [(4, 1), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (2, 6), (2, 7)])

@@ -9,6 +9,7 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_basis,
+    lyndon_suffix_splits,
     lyndon_words,
     mobius,
     standard_factorization,
@@ -138,3 +139,23 @@ def test_basis_order_is_degree_then_lex():
     keys = [b.sort_key() for b in basis]
     assert keys == sorted(keys)
     assert [b.word for b in lyndon_basis(2, 3)] == [(1, 1, 2), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (2, 4), (3, 4), (2, 6), (3, 5)])
+def test_lyndon_suffix_splits_against_brute_force(r, c):
+    # S: the empty word and the suffixes of Lyndon words of length <= c; each v
+    # in S lists every (u, uv) with u nonempty and uv in S
+    from itertools import product
+
+    words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
+    lyndon = [w for w in words if is_lyndon(w)]
+    support = {()} | {w[k:] for w in lyndon for k in range(len(w))}
+    splits = lyndon_suffix_splits(r, c)
+    assert set(splits) == support
+    for v, pairs in splits.items():
+        expected = [
+            (x[: len(x) - len(v)], x)
+            for x in support
+            if len(x) > len(v) and x[len(x) - len(v):] == v
+        ]
+        assert sorted(pairs) == sorted(expected)
