@@ -128,7 +128,7 @@ def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
     return out
 
 
-def poly_substitute(polys, letter_images, max_deg: int, support: dict = None) -> list:
+def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = None) -> list:
     """Ring substitution X_i -> letter_images[i - 1] of each of polys, truncated at max_deg.
 
     Each word's image is the image of its first letter times the image of

@@ -96,7 +96,7 @@ def lyndon_suffix_splits(r: int, c: int) -> dict:
     for n in range(1, c + 1):
         for w in lyndon_words(r, n):
             words.update(w[k:] for k in range(n))
-    splits: dict = {v: [] for v in sorted(words, key=lambda w: (len(w), w))}
+    splits: dict = {v: [] for v in words}
     for x in splits:
         for k in range(1, len(x) + 1):
             splits[x[k:]].append((x[:k], x))
