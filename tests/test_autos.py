@@ -73,7 +73,7 @@ def test_apply_is_homomorphism():
 
 
 def test_compose_matches_apply_endo_per_image():
-    # compose substitutes every image of e2 through one prefix table
+    # compose substitutes every image of e2 through one suffix table
     rng = random.Random(71)
     for r in (1, 2, 3):
         for c in (1, 2, 3, 4):

@@ -1,21 +1,29 @@
 """Stateful differential test of group and tower operations against the full series.
 
-A derandomized rule-based machine picks one (rank, class), builds elements,
-automorphisms and kernel maps, and then applies mul, inv, comm, apply_endo,
-compose, invert, flat/sharp, project/lift and the text and JSON round trips
-to what it has built.  Every result is checked against the full Magnus
-series: group arithmetic against the oracle products of fresh embeddings,
-endomorphisms against a prefix-table substitution on full series followed by
-the full peel, written out below so that it shares no code with the
-library's substitution.  Group identities (g g^-1 = 1, Hall-Witt) and tower
-identities (compose(e, invert(e)) = 1, flat(sharp(beta)) = beta) are checked
-as well.  Exponents are small or +-10^12.
+A derandomized rule-based machine, run at each of four (rank, class) shapes,
+builds elements, automorphisms and kernel maps, and then applies mul, inv, comm, truncate,
+apply_endo, compose, invert, flat/sharp, project/lift and the text and JSON
+round trips to what it has built.  Every result is checked against the full
+Magnus series: group arithmetic against the oracle products of fresh
+embeddings, endomorphisms against a prefix-table substitution on full series
+followed by the full peel, written out below so that it shares no code with
+the library's substitution.  Group identities (g g^-1 = 1, Hall-Witt,
+truncation and apply_endo are homomorphisms) and tower identities
+(compose(e, invert(e)) = 1, flat(sharp(beta)) = beta) are checked as well.
+Exponents are small or +-10^12.
 """
 
 import json
 
+import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    rule,
+    run_state_machine_as_test,
+)
 
 from nilstab.autos import (
     Endo,
@@ -42,6 +50,7 @@ from nilstab.group import (
     magnus_embed,
     mul,
     parse_element,
+    truncate,
 )
 from nilstab.series import add_scaled, poly_group_commutator, poly_mul, poly_unit_inverse
 from nilstab.words import graded_basis, witt_rank
@@ -93,11 +102,14 @@ class TowerMachine(RuleBasedStateMachine):
     elements = Bundle("elements")
     autos = Bundle("autos")
 
-    @initialize(shape=st.sampled_from(SHAPES), target=elements)
-    def pick_shape(self, shape):
-        self.r, self.c = shape
-        self.basis = graded_basis(self.r, self.c)
-        self.identity = Endo.identity(self.r, self.c)
+    def __init__(self, r: int, c: int):
+        super().__init__()
+        self.r, self.c = r, c
+        self.basis = graded_basis(r, c)
+        self.identity = Endo.identity(r, c)
+
+    @initialize(target=elements)
+    def first_generator(self):
         return GroupElement.generator(self.r, self.c, 1)
 
     def _element(self, terms, min_degree=1) -> GroupElement:
@@ -151,6 +163,11 @@ class TowerMachine(RuleBasedStateMachine):
         assert _fresh(out) == poly_group_commutator(_fresh(g), _fresh(h), self.c)
         return out
 
+    @rule(g=elements, h=elements, k=st.integers(1, 6))
+    def truncate_product(self, g, h, k):
+        k = min(k, self.c)
+        assert truncate(mul(g, h), k) == mul(truncate(g, k), truncate(h, k))
+
     @rule(x=elements, y=elements, z=elements)
     def hall_witt(self, x, y, z):
         product = mul(
@@ -159,10 +176,11 @@ class TowerMachine(RuleBasedStateMachine):
         )
         assert product.is_identity()
 
-    @rule(target=elements, e=autos, g=elements)
-    def apply(self, e, g):
+    @rule(target=elements, e=autos, g=elements, h=elements)
+    def apply(self, e, g, h):
         out = apply_endo(e, g)
         assert [out] == _full_substitute(e, [g])
+        assert apply_endo(e, mul(g, h)) == mul(out, apply_endo(e, h))
         return out
 
     @rule(target=autos, e1=autos, e2=autos)
@@ -212,7 +230,9 @@ class TowerMachine(RuleBasedStateMachine):
         assert endo_from_json(json.loads(json.dumps(endo_to_json(e)))) == e
 
 
-TowerMachine.TestCase.settings = settings(
-    derandomize=True, max_examples=80, stateful_step_count=35, deadline=None
-)
-test_tower_machine = TowerMachine.TestCase
+@pytest.mark.parametrize("r, c", SHAPES)
+def test_tower_machine(r, c):
+    run_state_machine_as_test(
+        lambda: TowerMachine(r, c),
+        settings=settings(derandomize=True, max_examples=30, stateful_step_count=35, deadline=None),
+    )

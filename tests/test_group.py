@@ -185,7 +185,7 @@ def test_poly_substitute_matches_word_by_word_products():
 
 
 def test_poly_substitute_of_several_matches_each_alone():
-    # one prefix table serves every polynomial; sharing it changes no image
+    # one suffix table serves every polynomial; sharing it changes no image
     rng = random.Random(62)
     for _ in range(40):
         r, c = rng.choice(((2, 3), (3, 4), (2, 5)))
