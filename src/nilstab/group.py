@@ -174,12 +174,12 @@ def _tail_basis(r: int, c: int) -> tuple:
     return tuple(b for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n))
 
 
-def _collect(r: int, c: int, t: dict, left_mul, basic) -> dict:
-    """Exponent dict of the collected form of a unit series t, or raise NotAGroupElement.
+def _collect(r: int, c: int, coeffs: dict, left_mul, basic) -> dict:
+    """Exponent dict of the collected form of a series, or raise NotAGroupElement.
 
-    Reads only Lyndon-word coefficients.  Degree n <= c/2: the degree-n Lie
-    part of the residual has the coordinates that forward substitution over
-    the degree-n envelope table finds in t's Lyndon-word coefficients; then
+    Reads only Lyndon-word coefficients of the residual t, a copy of coeffs.
+    Degree n <= c/2: the degree-n Lie part of t has the coordinates that
+    forward substitution over the degree-n envelope table finds in them; then
     (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t, one left factor at a
     time (left_mul(p, t) = p t).  Degrees > c/2: these factors multiply by
     addition, so what is left is 1 + sum e_b (B_b - 1), and B_b - 1 is b plus
@@ -188,6 +188,9 @@ def _collect(r: int, c: int, t: dict, left_mul, basic) -> dict:
     The residual must then be exactly 1; an input outside the image leaves a
     term that no factor removed.
     """
+    if coeffs.get((), 0) != 1:
+        raise NotAGroupElement("constant term is not 1")
+    t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c // 2 + 1):
         coords = []
@@ -214,9 +217,7 @@ def _collect(r: int, c: int, t: dict, left_mul, basic) -> dict:
 
 def _peel(r: int, c: int, coeffs: dict) -> dict:
     """Exponent dict of the collected form of a full series, or raise NotAGroupElement."""
-    if coeffs.get((), 0) != 1:
-        raise NotAGroupElement("constant term is not 1")
-    return _collect(r, c, dict(coeffs), lambda p, t: unit_mul(p, t, c), _basic_series)
+    return _collect(r, c, coeffs, lambda p, t: unit_mul(p, t, c), _basic_series)
 
 
 @lru_cache(maxsize=None)
@@ -235,11 +236,9 @@ def peel_on_support(r: int, c: int, coeffs: dict) -> dict:
     this is for series computed from group elements; the residual check still
     catches a fault in that computation.
     """
-    if coeffs.get((), 0) != 1:
-        raise NotAGroupElement("constant term is not 1")
     splits = lyndon_suffix_splits(r, c)
     return _collect(
-        r, c, dict(coeffs), lambda p, t: left_mul_on(p, t, splits, dict(t)), _basic_on_support
+        r, c, coeffs, lambda p, t: left_mul_on(p, t, splits, dict(t)), _basic_on_support
     )
 
 
