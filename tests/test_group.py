@@ -10,7 +10,6 @@ from nilstab.group import (
     NotAGroupElement,
     _basic_series,
     _peel,
-    peel_on_support,
     center_test,
     comm,
     element_from_json,
@@ -25,6 +24,7 @@ from nilstab.group import (
     magnus_peel,
     mul,
     parse_element,
+    peel_on_support,
     truncate,
 )
 from nilstab.lie import LieElement
