@@ -2,10 +2,9 @@
 
 Elements are kept in collected normal form: an exponent for every Lyndon
 basic commutator of degree <= c, multiplied out in (degree, word) order.
-Products, inverses and commutators go through the Magnus embedding
-x_i -> 1 + X_i into the truncated series ring; the collected form comes back
-by peeling the series degree by degree.  Uniqueness of the collected form is
-exactly injectivity of the embedding plus the peel.
+The Magnus embedding x_i -> 1 + X_i into the truncated series ring is
+injective, and the collected form comes back from a series by peeling it
+degree by degree.
 
 As [gamma_i, gamma_j] lies in gamma_(i+j), a basic commutator B of degree > c/2
 has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
@@ -14,14 +13,19 @@ the embed and the peel sum them; only degrees <= c/2 take series products.
 The peel reads only Lyndon-word coefficients, which determine the exponents
 through unitriangular systems, and accepts a series only if nothing is left
 once every factor is divided out.  So it also runs on S(r, c), the empty word
-and the suffixes of the Lyndon words of length <= c (peel_on_support, for
-series that autos substitutes there).
+and the suffixes of the Lyndon words of length <= c (301 of the 1,092 words
+at (3,6)): S is suffix-closed, so a left product p t read on S needs t on S
+alone.  mul, inv and comm never build a full series: they list the basic
+powers of their result as a product (g's factors then h's; g's reversed and
+negated; four such lists for g^-1 h^-1 g h), multiply them on S one left
+factor at a time, from the last to the first, with B^e from the cached
+powers of B - 1, and peel the result on S.  A run of factors of degree > c/2
+enters as one linear step.  Their results carry no cached series.
 
-Every series here has constant term 1, so products are unit products
-(1 + a')(1 + b') = 1 + a' + b' + a'b' that multiply out only the terms whose
-degrees can still pair (series.unit_mul), and [g, h] = 1 + (hg)^-1 (gh - hg),
-where gh - hg = a'b' - b'a' (series.unit_commutator).  poly_mul and
-poly_group_commutator multiply every pair of terms and stay the oracle.
+The full-series path stays the independent oracle: magnus_embed multiplies
+poly_unit_pow powers with unit products (series.unit_mul, which multiplies
+out only the terms whose degrees can still pair), magnus_peel peels full
+series, and poly_mul and poly_group_commutator multiply every pair of terms.
 
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 from .lie import LieElement, envelope_polynomial
 from .series import (
@@ -38,9 +43,8 @@ from .series import (
     add_scaled,
     left_mul_on,
     poly_group_commutator,
-    poly_unit_inverse,
+    poly_mul,
     poly_unit_pow,
-    unit_commutator,
     unit_mul,
 )
 from .words import LyndonBasisElement, lyndon_basis, lyndon_suffix_splits, witt_rank
@@ -59,6 +63,45 @@ def _basic_series(r: int, c: int, word: tuple) -> dict:
 
     u, v = standard_factorization(word)
     return poly_group_commutator(_basic_series(r, c, u), _basic_series(r, c, v), c)
+
+
+@lru_cache(maxsize=None)
+def _left_factor_words(r: int, c: int) -> frozenset:
+    """The words at which a left product on S(r, c) reads its left factor: the
+    nonempty prefixes of the words of S."""
+    return frozenset(u for pairs in lyndon_suffix_splits(r, c).values() for u, _ in pairs)
+
+
+@lru_cache(maxsize=None)
+def _basic_powers(r: int, c: int, word: tuple, on_support: bool = False) -> tuple:
+    """The powers N, N^2, ..., N^(c // len(word)) of N = B - 1 for the basic
+    commutator B of a Lyndon word; N has least degree len(word), so the next
+    power is truncated away.  With on_support, each power keeps only the
+    words at which a left product on S(r, c) reads it."""
+    if on_support:
+        keep = _left_factor_words(r, c)
+        return tuple({w: x for w, x in p.items() if w in keep} for p in _basic_powers(r, c, word))
+    n = {w: x for w, x in _basic_series(r, c, word).items() if w}
+    powers = [n]
+    for _ in range(c // len(word) - 1):
+        powers.append(poly_mul(powers[-1], n, c))
+    return tuple(powers)
+
+
+def _basic_power(r: int, c: int, word: tuple, e: int, on_support: bool = False) -> dict:
+    """B^e = sum_k C(e, k) N^k from the cached powers of N = B - 1.
+
+    C(e, k) = C(e, k-1) * (e-k+1) / k is an exact integer for every integer e;
+    the sum ends once C(e, k) = 0 (0 <= e < k) or N^k is truncated away.
+    """
+    out = {(): 1}
+    binom = 1
+    for k, power in enumerate(_basic_powers(r, c, word, on_support), 1):
+        binom = binom * (e - k + 1) // k
+        if not binom:
+            break
+        add_scaled(out, binom, power)
+    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -174,22 +217,40 @@ def _tail_basis(r: int, c: int) -> tuple:
     return tuple(b for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n))
 
 
-def _collect(r: int, c: int, coeffs: dict, left_mul, basic) -> dict:
+def _peel(r: int, c: int, coeffs: dict, support: dict | None = None) -> dict:
     """Exponent dict of the collected form of a series, or raise NotAGroupElement.
 
     Reads only Lyndon-word coefficients of the residual t, a copy of coeffs.
     Degree n <= c/2: the degree-n Lie part of t has the coordinates that
     forward substitution over the degree-n envelope table finds in them; then
     (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t, one left factor at a
-    time (left_mul(p, t) = p t).  Degrees > c/2: these factors multiply by
-    addition, so what is left is 1 + sum e_b (B_b - 1), and B_b - 1 is b plus
-    words later in basis order: each e_b is t's coefficient on b once the
-    earlier e(B - 1) are subtracted (basic(r, c, word) is B_b as t carries it).
+    time.  Degrees > c/2: these factors multiply by addition, so what is left
+    is 1 + sum e_b (B_b - 1), and B_b - 1 is b plus words later in basis order:
+    each e_b is t's coefficient on b once the earlier e(B - 1) are subtracted.
     The residual must then be exactly 1; an input outside the image leaves a
     term that no factor removed.
+
+    Without support, coeffs is a full series.  With support, the split table
+    of S(r, c) (words.lyndon_suffix_splits), coeffs is a series read on S
+    only, the empty word and the suffixes of the Lyndon words of length <= c:
+    S is suffix-closed, so each left product B^-e t is exact on S.  Whether a
+    series known only on S lies in the image cannot be decided, so that is
+    for series computed from group elements; the residual check still
+    catches a fault in that computation.
     """
     if coeffs.get((), 0) != 1:
         raise NotAGroupElement("constant term is not 1")
+    on_support = support is not None
+    if not on_support:
+        def left_mul(p, t):
+            return unit_mul(p, t, c)
+
+        basic = _basic_series
+    else:
+        def left_mul(p, t):
+            return left_mul_on(p, t, support, dict(t))
+
+        basic = _basic_on_support
     t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c // 2 + 1):
@@ -203,7 +264,7 @@ def _collect(r: int, c: int, coeffs: dict, left_mul, basic) -> dict:
                     taken[v] = taken.get(v, 0) + e * x
         for b, e in coords:
             exps[b] = e
-            t = left_mul(poly_unit_pow(_basic_series(r, c, b.word), -e, c), t)
+            t = left_mul(_basic_power(r, c, b.word, -e, on_support), t)
     for b in _tail_basis(r, c):
         e = t.get(b.word)
         if e:
@@ -215,11 +276,6 @@ def _collect(r: int, c: int, coeffs: dict, left_mul, basic) -> dict:
     return exps
 
 
-def _peel(r: int, c: int, coeffs: dict) -> dict:
-    """Exponent dict of the collected form of a full series, or raise NotAGroupElement."""
-    return _collect(r, c, coeffs, lambda p, t: unit_mul(p, t, c), _basic_series)
-
-
 @lru_cache(maxsize=None)
 def _basic_on_support(r: int, c: int, word: tuple) -> dict:
     """The Magnus series of a basic commutator, on the Lyndon-suffix support S(r, c)."""
@@ -229,17 +285,9 @@ def _basic_on_support(r: int, c: int, word: tuple) -> dict:
 
 def peel_on_support(r: int, c: int, coeffs: dict) -> dict:
     """Exponent dict of a group element from its Magnus series read on S(r, c) only,
-    the empty word and the suffixes of the Lyndon words of length <= c.
-
-    S is suffix-closed, so each left product B^-e t of the peel is exact on S.
-    Whether a series known only on S lies in the image cannot be decided, so
-    this is for series computed from group elements; the residual check still
-    catches a fault in that computation.
-    """
-    splits = lyndon_suffix_splits(r, c)
-    return _collect(
-        r, c, coeffs, lambda p, t: left_mul_on(p, t, splits, dict(t)), _basic_on_support
-    )
+    the empty word and the suffixes of the Lyndon words of length <= c: _peel
+    with the split table of S (autos peels its substitutions here)."""
+    return _peel(r, c, coeffs, lyndon_suffix_splits(r, c))
 
 
 def magnus_peel(s: TruncatedSeries) -> GroupElement:
@@ -250,32 +298,64 @@ def magnus_peel(s: TruncatedSeries) -> GroupElement:
     return g
 
 
-def _from_series(r: int, c: int, coeffs: dict) -> GroupElement:
-    g = GroupElement(r, c, _peel(r, c, coeffs))
-    g._series.append(TruncatedSeries(r, c, coeffs))
-    return g
+def _factors(g: GroupElement) -> list:
+    """The collected form of g as (word, exponent) factors in basis order."""
+    return [(b.word, g.exponents[b]) for b in sorted(g.exponents, key=LyndonBasisElement.sort_key)]
+
+
+def _inverse_factors(g: GroupElement) -> list:
+    return [(word, -e) for word, e in reversed(_factors(g))]
+
+
+def _product_on_support(r: int, c: int, factors: list) -> dict:
+    """The Magnus series of the product of basic powers B_word^e, read on S(r, c).
+
+    One left product at a time, from the last factor to the first; each is
+    exact on S, which is suffix-closed, and reads B^e only at the words
+    _left_factor_words keeps.  A run of consecutive factors of degree > c/2
+    is one linear step: their product is 1 + P with P = sum e (B - 1), and
+    t += P|_S + P (t - 1).  P has degree > c/2, so only the terms of t of
+    degree < c - c//2 enter P (t - 1), and no such factor changes those terms.
+    """
+    splits = lyndon_suffix_splits(r, c)
+    low_degree = c - c // 2
+    t = {(): 1}
+    for linear, run in groupby(reversed(factors), key=lambda f: 2 * len(f[0]) > c):
+        if linear:
+            p: dict = {}
+            for word, e in run:
+                add_scaled(p, e, _basic_powers(r, c, word, True)[0])
+            low = {v: x for v, x in t.items() if len(v) < low_degree}
+            left_mul_on(p, low, splits, t)
+        else:
+            for word, e in run:
+                t = left_mul_on(_basic_power(r, c, word, e, True), t, splits, dict(t))
+    return t
+
+
+def _collected(r: int, c: int, factors: list) -> GroupElement:
+    """The product of the factors in collected form, peeled on S(r, c); a product
+    that reads {(): 1} on S is the identity and needs no peel."""
+    t = _product_on_support(r, c, factors)
+    if len(t) == 1:
+        return GroupElement.identity(r, c)
+    return GroupElement(r, c, _peel(r, c, t, lyndon_suffix_splits(r, c)))
 
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     g._check(h)
-    c = g.class_bound
-    prod = unit_mul(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
-    return _from_series(g.rank, c, prod)
+    return _collected(g.rank, g.class_bound, _factors(g) + _factors(h))
 
 
 def inv(g: GroupElement) -> GroupElement:
-    c = g.class_bound
-    return _from_series(g.rank, c, poly_unit_inverse(magnus_embed(g).coefficients, c))
+    return _collected(g.rank, g.class_bound, _inverse_factors(g))
 
 
 def comm(g: GroupElement, h: GroupElement) -> GroupElement:
     """Group commutator g^-1 h^-1 g h."""
     g._check(h)
-    c = g.class_bound
-    series = unit_commutator(magnus_embed(g).coefficients, magnus_embed(h).coefficients, c)
-    if len(series) == 1:  # g and h commute: no peel
-        return GroupElement.identity(g.rank, c)
-    return _from_series(g.rank, c, series)
+    factors = _inverse_factors(g) + _inverse_factors(h) + _factors(g) + _factors(h)
+    return _collected(g.rank, g.class_bound, factors)
 
 
 def truncate(g: GroupElement, new_class: int) -> GroupElement:

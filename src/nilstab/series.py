@@ -67,46 +67,20 @@ def _low_degree(a: dict, max_deg: int) -> int:
     return min(map(len, filter(None, a)), default=max_deg + 1)
 
 
-def _pairing_buckets(a: dict, b: dict, max_deg: int) -> tuple:
-    """Buckets of the nonconstant parts a', b' holding only the terms that can pair:
-    those of a' of degree <= max_deg - (least degree of b'), and likewise for b'."""
-    a_deg = _by_degree(a, max_deg - _low_degree(b, max_deg))
-    b_deg = _by_degree(b, max_deg - _low_degree(a, max_deg))
-    return [x for x in a_deg if x[0]], [x for x in b_deg if x[0]]
-
-
 def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
     """(1 + a')(1 + b') = 1 + a' + b' + a'b' for truncated series with constant term 1.
 
     Copies the larger operand, adds the smaller one in place, and multiplies
-    out only the terms of a' and b' that can pair under truncation.
+    out only the terms that can pair under truncation: those of a' of degree
+    <= max_deg - (least degree of b'), and likewise for b'.
     """
     big, small = (a, b) if len(a) >= len(b) else (b, a)
     out = dict(big)
     add_scaled(out, 1, small)
     out[()] = 1
-    return _mul_buckets(*_pairing_buckets(a, b, max_deg), max_deg, out)
-
-
-def unit_commutator(a: dict, b: dict, max_deg: int) -> dict:
-    """a^-1 b^-1 a b = 1 + (ba)^-1 (ab - ba) for truncated series with constant term 1.
-
-    ab - ba = a'b' - b'a' comes from the nonconstant parts alone.  If its least
-    degree is m, only degrees <= max_deg - m of a, b and (ba)^-1 can reach the
-    result.  Returns {(): 1} when a and b commute.
-    """
-    a_deg, b_deg = _pairing_buckets(a, b, max_deg)
-    diff = _mul_buckets(a_deg, b_deg, max_deg, {})
-    add_scaled(diff, -1, _mul_buckets(b_deg, a_deg, max_deg, {}))
-    if not diff:
-        return {(): 1}
-    room = max_deg - _low_degree(diff, max_deg)
-    low_a = {w: x for w, x in a.items() if len(w) <= room}
-    low_b = {w: x for w, x in b.items() if len(w) <= room}
-    ba_inverse = poly_unit_inverse(unit_mul(low_b, low_a, room), room)
-    out = _mul_buckets(*_pairing_buckets(ba_inverse, diff, max_deg), max_deg, dict(diff))
-    out[()] = 1
-    return out
+    a_deg = _by_degree(a, max_deg - _low_degree(b, max_deg))
+    b_deg = _by_degree(b, max_deg - _low_degree(a, max_deg))
+    return _mul_buckets([x for x in a_deg if x[0]], [x for x in b_deg if x[0]], max_deg, out)
 
 
 def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:

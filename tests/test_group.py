@@ -36,7 +36,6 @@ from nilstab.series import (
     poly_substitute,
     poly_unit_inverse,
     poly_unit_pow,
-    unit_commutator,
     unit_mul,
 )
 from nilstab.verify import random_group_element
@@ -235,7 +234,7 @@ def test_poly_unit_pow_matches_repeated_products():
         poly_unit_pow({(): 2, (1,): 1}, 3, 4)
 
 
-def test_unit_mul_and_unit_commutator_match_the_pair_loop():
+def test_unit_mul_matches_the_pair_loop():
     # the fast unit products skip terms that cannot pair; the oracle multiplies all
     rng = random.Random(64)
     for _ in range(300):
@@ -247,7 +246,6 @@ def test_unit_mul_and_unit_commutator_match_the_pair_loop():
         )
         assert unit_mul(a, b, c) == poly_mul(a, b, c)
         assert unit_mul(b, a, c) == poly_mul(b, a, c)
-        assert unit_commutator(a, b, c) == poly_group_commutator(a, b, c)
     assert unit_mul({(): 1}, {(): 1}, 3) == {(): 1}
     assert unit_mul({(): 1, (1,): 1}, {(): 1, (1,): -1}, 2) == {(): 1, (1, 1): -1}
     t = {(): 1, (1,): 2}
@@ -300,6 +298,61 @@ def test_comm_does_not_use_the_oracle_commutator(monkeypatch):
     for (g, h), want in zip(pairs, expected):
         fresh = [GroupElement.from_exponents(r, c, x.exponents) for x in (g, h)]
         assert comm(*fresh) == want
+
+
+def _oracle_op(kind, g, h=None):
+    """mul, inv or comm through full series of fresh embeddings and the full peel."""
+    r, c = g.rank, g.class_bound
+    a, b = (_fresh_embed(x) for x in (g, h or g))
+    if kind == "mul":
+        series = poly_mul(a, b, c)
+    elif kind == "inv":
+        series = poly_unit_inverse(a, c)
+    else:
+        series = poly_group_commutator(a, b, c)
+    return magnus_peel(TruncatedSeries(r, c, series))
+
+
+def _fresh_embed(g):
+    return magnus_embed(GroupElement.from_exponents(g.rank, g.class_bound, g.exponents)).coefficients
+
+
+@pytest.mark.parametrize("r, c", [(2, 5), (4, 4), (3, 6)])
+def test_group_operations_build_no_full_series(r, c, monkeypatch):
+    # mul, inv and comm multiply basic powers on S(r, c) and peel there: once the
+    # basic caches are warm they neither embed an operand nor take a full unit product
+    rng = random.Random(f"on-support/{r}/{c}")
+    tail = [b for b in graded_basis(r, c) if 2 * b.degree > c]
+    one = GroupElement.identity(r, c)
+    a, b = gens(r, c)[:2]
+    # a tail run whose exponents sum to 0, and a tail element with its inverse
+    tail_zero = GroupElement(r, c, {tail[0]: 5, tail[-1]: -2, tail[len(tail) // 2]: -3})
+    tail_only = GroupElement(r, c, {x: rng.choice((-2, -1, 1, 2)) for x in rng.sample(tail, 4)})
+    tail_inverse = GroupElement(r, c, {x: -e for x, e in tail_only.exponents.items()})
+    dense = random_group_element(rng, r, c, support=10).exponents
+    big = GroupElement(r, c, {x: e * rng.choice((10**12, -(10**12))) for x, e in dense.items()})
+    x, y = (random_group_element(rng, r, c) for _ in range(2))
+    operands = [one, *gens(r, c), tail_zero, tail_only, tail_inverse, big, x, y]
+    pairs = [
+        (one, one), (one, big), (big, one), (a, b), (b, a), (a, a),
+        (tail_zero, tail_only), (tail_only, tail_inverse), (tail_zero, a), (b, tail_zero),
+        (tail_only, big), (big, tail_zero), (big, big), (x, y), (y, big), (x, tail_only),
+    ]
+    expected = {
+        "mul": [_oracle_op("mul", g, h) for g, h in pairs],
+        "comm": [_oracle_op("comm", g, h) for g, h in pairs],
+        "inv": [_oracle_op("inv", g) for g in operands],
+    }
+
+    def refuse(*args):
+        raise AssertionError("full series built")
+
+    monkeypatch.setattr("nilstab.group.magnus_embed", refuse)
+    monkeypatch.setattr("nilstab.group.unit_mul", refuse)
+    assert [mul(g, h) for g, h in pairs] == expected["mul"]
+    assert [comm(g, h) for g, h in pairs] == expected["comm"]
+    assert [inv(g) for g in operands] == expected["inv"]
+    assert mul(tail_only, tail_inverse).is_identity() and comm(tail_zero, tail_only).is_identity()
 
 
 def test_lcs_degree():
