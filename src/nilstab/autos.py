@@ -2,11 +2,13 @@
 
 An endomorphism is its list of generator images.  Applying one to an element
 happens on the Magnus side: the ring substitution X_i -> embed(image_i) - 1
-followed by the peel.  Both run on S(r, c) only, the empty word and every
-suffix of a Lyndon word of length <= c (118 of the 340 words at (4,4)): the
-peel reads Lyndon-word coefficients, and as S is suffix-closed, the image of
-a word w, L_(w_1) * image(w[1:]), read on S needs image(w[1:]) on S alone.
-The residual check ends the peel; the results carry no cached series.
+followed by the peel, group._peel.  The images are kept on S(r, c) only, the
+empty word and every suffix of a Lyndon word of length <= c (118 of the 340
+words at (4,4)): the peel reads Lyndon-word coefficients, and as S is
+suffix-closed, the image of a word w, L_(w_1) * image(w[1:]), read on S needs
+image(w[1:]) on S alone.  A word outside S still has an image on S, so each
+element enters with its full series.  The residual check ends the peel; the
+results carry no cached series.
 
 The projection to class c-1, the set-theoretic lift back, and the mutually
 inverse maps between the kernel of the projection and integer matrices (one
@@ -22,12 +24,12 @@ from . import intlinalg
 from .group import (
     GroupElement,
     _json_fields,
+    _peel,
     element_from_json,
     element_to_json,
     inv,
     magnus_embed,
     mul,
-    peel_on_support,
     truncate,
 )
 from .series import poly_substitute
@@ -84,7 +86,7 @@ def _substitute(e: Endo, elements) -> tuple:
     letters = [{w: x for w, x in magnus_embed(img).coefficients.items() if w} for img in e.images]
     series = [magnus_embed(g).coefficients for g in elements]
     images = poly_substitute(series, letters, c, lyndon_suffix_splits(r, c))
-    return tuple(GroupElement(r, c, peel_on_support(r, c, out)) for out in images)
+    return tuple(GroupElement(r, c, _peel(r, c, out)) for out in images)
 
 
 def apply_endo(e: Endo, g: GroupElement) -> GroupElement:

@@ -11,21 +11,22 @@ has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
 the embed and the peel sum them; only degrees <= c/2 take series products.
 
 The peel reads only Lyndon-word coefficients, which determine the exponents
-through unitriangular systems, and accepts a series only if nothing is left
-once every factor is divided out.  So it also runs on S(r, c), the empty word
-and the suffixes of the Lyndon words of length <= c (301 of the 1,092 words
-at (3,6)): S is suffix-closed, so a left product p t read on S needs t on S
-alone.  mul, inv and comm never build a full series: they list the basic
-powers of their result as a product (g's factors then h's; g's reversed and
-negated; four such lists for g^-1 h^-1 g h), multiply them on S one left
-factor at a time, from the last to the first, with B^e from the cached
-powers of B - 1, and peel the result on S.  A run of factors of degree > c/2
-enters as one linear step.  Their results carry no cached series.
+through unitriangular systems, so it runs on S(r, c), the empty word and the
+suffixes of the Lyndon words of length <= c (301 of the 1,092 words at (3,6)):
+S is suffix-closed, so a left product p t read on S needs t on S alone.
+mul, inv and comm never build a full series: they list the basic powers of
+their result as a product (g's factors then h's; g's reversed and negated;
+four such lists for g^-1 h^-1 g h), multiply them on S one left factor at a
+time, from the last to the first, with B^e from the cached powers of B - 1,
+and peel the result on S.  A run of factors of degree > c/2 enters as one
+linear step.  Their results carry no cached series.
 
 The full-series path stays the independent oracle: magnus_embed multiplies
 poly_unit_pow powers with unit products (series.unit_mul, which multiplies
-out only the terms whose degrees can still pair), magnus_peel peels full
-series, and poly_mul and poly_group_commutator multiply every pair of terms.
+out only the terms whose degrees can still pair), and poly_mul and
+poly_group_commutator multiply every pair of terms.  magnus_peel peels a
+full series on S and accepts it only if the embedding of the result is that
+series: a series has at most one candidate preimage.
 
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
@@ -73,14 +74,10 @@ def _left_factor_words(r: int, c: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _basic_powers(r: int, c: int, word: tuple, on_support: bool = False) -> tuple:
+def _full_basic_powers(r: int, c: int, word: tuple) -> tuple:
     """The powers N, N^2, ..., N^(c // len(word)) of N = B - 1 for the basic
     commutator B of a Lyndon word; N has least degree len(word), so the next
-    power is truncated away.  With on_support, each power keeps only the
-    words at which a left product on S(r, c) reads it."""
-    if on_support:
-        keep = _left_factor_words(r, c)
-        return tuple({w: x for w, x in p.items() if w in keep} for p in _basic_powers(r, c, word))
+    power is truncated away."""
     n = {w: x for w, x in _basic_series(r, c, word).items() if w}
     powers = [n]
     for _ in range(c // len(word) - 1):
@@ -88,15 +85,24 @@ def _basic_powers(r: int, c: int, word: tuple, on_support: bool = False) -> tupl
     return tuple(powers)
 
 
-def _basic_power(r: int, c: int, word: tuple, e: int, on_support: bool = False) -> dict:
-    """B^e = sum_k C(e, k) N^k from the cached powers of N = B - 1.
+@lru_cache(maxsize=None)
+def _basic_powers(r: int, c: int, word: tuple) -> tuple:
+    """The powers of N = B - 1 (_full_basic_powers), each kept only at the
+    words at which a left product on S(r, c) reads its left factor."""
+    keep = _left_factor_words(r, c)
+    return tuple({w: x for w, x in p.items() if w in keep} for p in _full_basic_powers(r, c, word))
+
+
+def _basic_power(r: int, c: int, word: tuple, e: int) -> dict:
+    """B^e = sum_k C(e, k) N^k from the cached powers of N = B - 1, kept as
+    _basic_powers keeps them.
 
     C(e, k) = C(e, k-1) * (e-k+1) / k is an exact integer for every integer e;
     the sum ends once C(e, k) = 0 (0 <= e < k) or N^k is truncated away.
     """
     out = {(): 1}
     binom = 1
-    for k, power in enumerate(_basic_powers(r, c, word, on_support), 1):
+    for k, power in enumerate(_basic_powers(r, c, word), 1):
         binom = binom * (e - k + 1) // k
         if not binom:
             break
@@ -217,40 +223,26 @@ def _tail_basis(r: int, c: int) -> tuple:
     return tuple(b for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n))
 
 
-def _peel(r: int, c: int, coeffs: dict, support: dict | None = None) -> dict:
-    """Exponent dict of the collected form of a series, or raise NotAGroupElement.
+def _peel(r: int, c: int, coeffs: dict) -> dict:
+    """Exponent dict of a group element from its Magnus series read on S(r, c),
+    or raise NotAGroupElement.
 
-    Reads only Lyndon-word coefficients of the residual t, a copy of coeffs.
-    Degree n <= c/2: the degree-n Lie part of t has the coordinates that
-    forward substitution over the degree-n envelope table finds in them; then
-    (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t, one left factor at a
-    time.  Degrees > c/2: these factors multiply by addition, so what is left
-    is 1 + sum e_b (B_b - 1), and B_b - 1 is b plus words later in basis order:
+    S is the empty word and the suffixes of the Lyndon words of length <= c
+    (words.lyndon_suffix_splits).  Reads only Lyndon-word coefficients of the
+    residual t, a copy of coeffs.  Degree n <= c/2: the degree-n Lie part of t
+    has the coordinates that forward substitution over the degree-n envelope
+    table finds in them; then (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t,
+    one left factor at a time, each exact on S as S is suffix-closed.  Degrees
+    > c/2: these factors multiply by addition, so what is left is
+    1 + sum e_b (B_b - 1), and B_b - 1 is b plus words later in basis order:
     each e_b is t's coefficient on b once the earlier e(B - 1) are subtracted.
-    The residual must then be exactly 1; an input outside the image leaves a
-    term that no factor removed.
-
-    Without support, coeffs is a full series.  With support, the split table
-    of S(r, c) (words.lyndon_suffix_splits), coeffs is a series read on S
-    only, the empty word and the suffixes of the Lyndon words of length <= c:
-    S is suffix-closed, so each left product B^-e t is exact on S.  Whether a
-    series known only on S lies in the image cannot be decided, so that is
-    for series computed from group elements; the residual check still
-    catches a fault in that computation.
+    The residual must then be exactly 1 on S.  That check catches a fault in
+    a series computed from group elements, but cannot decide whether a series
+    lies in the image; magnus_peel decides it by re-embedding the result.
     """
     if coeffs.get((), 0) != 1:
         raise NotAGroupElement("constant term is not 1")
-    on_support = support is not None
-    if not on_support:
-        def left_mul(p, t):
-            return unit_mul(p, t, c)
-
-        basic = _basic_series
-    else:
-        def left_mul(p, t):
-            return left_mul_on(p, t, support, dict(t))
-
-        basic = _basic_on_support
+    splits = lyndon_suffix_splits(r, c)
     t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c // 2 + 1):
@@ -264,12 +256,12 @@ def _peel(r: int, c: int, coeffs: dict, support: dict | None = None) -> dict:
                     taken[v] = taken.get(v, 0) + e * x
         for b, e in coords:
             exps[b] = e
-            t = left_mul(_basic_power(r, c, b.word, -e, on_support), t)
+            t = left_mul_on(_basic_power(r, c, b.word, -e), t, splits, dict(t))
     for b in _tail_basis(r, c):
         e = t.get(b.word)
         if e:
             exps[b] = e
-            add_scaled(t, -e, basic(r, c, b.word))
+            add_scaled(t, -e, _basic_on_support(r, c, b.word))
             t[()] = 1
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
@@ -283,18 +275,17 @@ def _basic_on_support(r: int, c: int, word: tuple) -> dict:
     return {w: x for w, x in _basic_series(r, c, word).items() if w in splits}
 
 
-def peel_on_support(r: int, c: int, coeffs: dict) -> dict:
-    """Exponent dict of a group element from its Magnus series read on S(r, c) only,
-    the empty word and the suffixes of the Lyndon words of length <= c: _peel
-    with the split table of S (autos peels its substitutions here)."""
-    return _peel(r, c, coeffs, lyndon_suffix_splits(r, c))
-
-
 def magnus_peel(s: TruncatedSeries) -> GroupElement:
-    """Inverse of magnus_embed on its image; errors on anything else."""
-    exps = _peel(s.rank, s.class_bound, s.coefficients)
-    g = GroupElement(s.rank, s.class_bound, exps)
-    g._series.append(s)
+    """Inverse of magnus_embed on its image; errors on anything else.
+
+    Peels s read on S(r, c), then re-embeds the only candidate preimage:
+    s is in the image exactly when that embedding is s.
+    """
+    r, c = s.rank, s.class_bound
+    splits = lyndon_suffix_splits(r, c)
+    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in splits}))
+    if magnus_embed(g).coefficients != s.coefficients:
+        raise NotAGroupElement("the series differs from the embedding of its peel")
     return g
 
 
@@ -324,12 +315,12 @@ def _product_on_support(r: int, c: int, factors: list) -> dict:
         if linear:
             p: dict = {}
             for word, e in run:
-                add_scaled(p, e, _basic_powers(r, c, word, True)[0])
+                add_scaled(p, e, _basic_powers(r, c, word)[0])
             low = {v: x for v, x in t.items() if len(v) < low_degree}
             left_mul_on(p, low, splits, t)
         else:
             for word, e in run:
-                t = left_mul_on(_basic_power(r, c, word, e, True), t, splits, dict(t))
+                t = left_mul_on(_basic_power(r, c, word, e), t, splits, dict(t))
     return t
 
 
@@ -339,7 +330,7 @@ def _collected(r: int, c: int, factors: list) -> GroupElement:
     t = _product_on_support(r, c, factors)
     if len(t) == 1:
         return GroupElement.identity(r, c)
-    return GroupElement(r, c, _peel(r, c, t, lyndon_suffix_splits(r, c)))
+    return GroupElement(r, c, _peel(r, c, t))
 
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:

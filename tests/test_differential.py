@@ -6,8 +6,9 @@ apply_endo, compose, invert, flat/sharp, project/lift and the text and JSON
 round trips to what it has built.  Every result is checked against the full
 Magnus series: group arithmetic against the oracle products of fresh
 embeddings, endomorphisms against a prefix-table substitution on full series
-followed by the full peel, written out below so that it shares no code with
-the library's substitution.  Group identities (g g^-1 = 1, Hall-Witt,
+followed by magnus_peel, which accepts a series only if it is the embedding
+of the peeled result; the substitution is written out below so that it
+shares no code with the library's.  Group identities (g g^-1 = 1, Hall-Witt,
 truncation and apply_endo are homomorphisms) and tower identities
 (compose(e, invert(e)) = 1, flat(sharp(beta)) = beta) are checked as well.
 Exponents are small or +-10^12.
@@ -41,18 +42,24 @@ from nilstab.autos import (
 )
 from nilstab.group import (
     GroupElement,
-    _peel,
     comm,
     element_from_json,
     element_to_json,
     element_to_text,
     inv,
     magnus_embed,
+    magnus_peel,
     mul,
     parse_element,
     truncate,
 )
-from nilstab.series import add_scaled, poly_group_commutator, poly_mul, poly_unit_inverse
+from nilstab.series import (
+    TruncatedSeries,
+    add_scaled,
+    poly_group_commutator,
+    poly_mul,
+    poly_unit_inverse,
+)
 from nilstab.words import graded_basis, witt_rank
 
 SHAPES = [(3, 4), (2, 5), (4, 3), (2, 7)]
@@ -74,7 +81,7 @@ def _fresh(g: GroupElement) -> dict:
 def _full_substitute(e: Endo, elements) -> list:
     """e applied to each element on full series: X_i -> embed(image_i) - 1 word by
     word, each word's image the image of its prefix times that of its last letter,
-    then the full peel."""
+    then magnus_peel."""
     r, c = e.rank, e.class_bound
     letters = [{w: x for w, x in _fresh(img).items() if w} for img in e.images]
     prefix_images = {(): {(): 1}}
@@ -89,7 +96,7 @@ def _full_substitute(e: Endo, elements) -> list:
         series: dict = {}
         for w, x in _fresh(g).items():
             add_scaled(series, x, image(w))
-        out.append(GroupElement(r, c, _peel(r, c, series)))
+        out.append(magnus_peel(TruncatedSeries(r, c, series)))
     return out
 
 
