@@ -19,14 +19,21 @@ their result as a product (g's factors then h's; g's reversed and negated;
 four such lists for g^-1 h^-1 g h), multiply them on S one left factor at a
 time, from the last to the first, with B^e from the cached powers of B - 1,
 and peel the result on S.  A run of factors of degree > c/2 enters as one
-linear step.  Their results carry no cached series.
+linear step.  These products and the peel's divisions walk the words of the
+sparse left factor (series.left_mul_by over words.lyndon_prefix_splits), not
+those of the dense right factor.  Their results carry no cached series.
+
+_basic_series, the one cache of basic-commutator series that the embed, the
+powers and the peel read, builds B_w = [B_u, B_v] for the standard
+factorization (u, v) by series.unit_commutator, which needs (B_v B_u)^-1
+only up to degree c - len(w).
 
 The full-series path stays the independent oracle: magnus_embed multiplies
 poly_unit_pow powers with unit products (series.unit_mul, which multiplies
 out only the terms whose degrees can still pair), and poly_mul and
-poly_group_commutator multiply every pair of terms.  magnus_peel peels a
-full series on S and accepts it only if the embedding of the result is that
-series: a series has at most one candidate preimage.
+series.poly_group_commutator multiply every pair of terms.  magnus_peel
+peels a full series on S and accepts it only if the embedding of the result
+is that series: a series has at most one candidate preimage.
 
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
@@ -42,13 +49,20 @@ from .lie import LieElement, envelope_polynomial
 from .series import (
     TruncatedSeries,
     add_scaled,
-    left_mul_on,
-    poly_group_commutator,
+    left_mul_by,
     poly_mul,
     poly_unit_pow,
+    unit_commutator,
     unit_mul,
 )
-from .words import LyndonBasisElement, lyndon_basis, lyndon_suffix_splits, witt_rank
+from .words import (
+    LyndonBasisElement,
+    lyndon_basis,
+    lyndon_prefix_splits,
+    lyndon_suffixes,
+    standard_factorization,
+    witt_rank,
+)
 
 
 class NotAGroupElement(ValueError):
@@ -57,20 +71,13 @@ class NotAGroupElement(ValueError):
 
 @lru_cache(maxsize=None)
 def _basic_series(r: int, c: int, word: tuple) -> dict:
-    """Magnus series of the basic commutator of a Lyndon word, as a raw dict."""
+    """Magnus series of the basic commutator of a Lyndon word, as a raw dict:
+    [B_u, B_v] for the standard factorization (u, v), by series.unit_commutator,
+    which needs (B_v B_u)^-1 only up to degree c - len(word)."""
     if len(word) == 1:
         return {(): 1, word: 1}
-    from .words import standard_factorization
-
     u, v = standard_factorization(word)
-    return poly_group_commutator(_basic_series(r, c, u), _basic_series(r, c, v), c)
-
-
-@lru_cache(maxsize=None)
-def _left_factor_words(r: int, c: int) -> frozenset:
-    """The words at which a left product on S(r, c) reads its left factor: the
-    nonempty prefixes of the words of S."""
-    return frozenset(u for pairs in lyndon_suffix_splits(r, c).values() for u, _ in pairs)
+    return unit_commutator(_basic_series(r, c, u), _basic_series(r, c, v), c)
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +95,9 @@ def _full_basic_powers(r: int, c: int, word: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _basic_powers(r: int, c: int, word: tuple) -> tuple:
     """The powers of N = B - 1 (_full_basic_powers), each kept only at the
-    words at which a left product on S(r, c) reads its left factor."""
-    keep = _left_factor_words(r, c)
+    words at which a left product on S(r, c) reads its left factor: the
+    nonempty prefixes of the words of S."""
+    keep = lyndon_prefix_splits(r, c)
     return tuple({w: x for w, x in p.items() if w in keep} for p in _full_basic_powers(r, c, word))
 
 
@@ -228,7 +236,7 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
     or raise NotAGroupElement.
 
     S is the empty word and the suffixes of the Lyndon words of length <= c
-    (words.lyndon_suffix_splits).  Reads only Lyndon-word coefficients of the
+    (words.lyndon_suffixes).  Reads only Lyndon-word coefficients of the
     residual t, a copy of coeffs.  Degree n <= c/2: the degree-n Lie part of t
     has the coordinates that forward substitution over the degree-n envelope
     table finds in them; then (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t,
@@ -242,7 +250,7 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
     """
     if coeffs.get((), 0) != 1:
         raise NotAGroupElement("constant term is not 1")
-    splits = lyndon_suffix_splits(r, c)
+    prefix_splits = lyndon_prefix_splits(r, c)
     t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c // 2 + 1):
@@ -256,7 +264,7 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
                     taken[v] = taken.get(v, 0) + e * x
         for b, e in coords:
             exps[b] = e
-            t = left_mul_on(_basic_power(r, c, b.word, -e), t, splits, dict(t))
+            t = left_mul_by(_basic_power(r, c, b.word, -e), t, prefix_splits, dict(t))
     for b in _tail_basis(r, c):
         e = t.get(b.word)
         if e:
@@ -271,8 +279,8 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
 @lru_cache(maxsize=None)
 def _basic_on_support(r: int, c: int, word: tuple) -> dict:
     """The Magnus series of a basic commutator, on the Lyndon-suffix support S(r, c)."""
-    splits = lyndon_suffix_splits(r, c)
-    return {w: x for w, x in _basic_series(r, c, word).items() if w in splits}
+    support = lyndon_suffixes(r, c)
+    return {w: x for w, x in _basic_series(r, c, word).items() if w in support}
 
 
 def magnus_peel(s: TruncatedSeries) -> GroupElement:
@@ -282,8 +290,8 @@ def magnus_peel(s: TruncatedSeries) -> GroupElement:
     s is in the image exactly when that embedding is s.
     """
     r, c = s.rank, s.class_bound
-    splits = lyndon_suffix_splits(r, c)
-    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in splits}))
+    support = lyndon_suffixes(r, c)
+    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in support}))
     if magnus_embed(g).coefficients != s.coefficients:
         raise NotAGroupElement("the series differs from the embedding of its peel")
     return g
@@ -301,26 +309,25 @@ def _inverse_factors(g: GroupElement) -> list:
 def _product_on_support(r: int, c: int, factors: list) -> dict:
     """The Magnus series of the product of basic powers B_word^e, read on S(r, c).
 
-    One left product at a time, from the last factor to the first; each is
-    exact on S, which is suffix-closed, and reads B^e only at the words
-    _left_factor_words keeps.  A run of consecutive factors of degree > c/2
-    is one linear step: their product is 1 + P with P = sum e (B - 1), and
-    t += P|_S + P (t - 1).  P has degree > c/2, so only the terms of t of
-    degree < c - c//2 enter P (t - 1), and no such factor changes those terms.
+    One left product at a time, from the last factor to the first, each a
+    walk over the words of B^e that _basic_powers keeps (series.left_mul_by);
+    each is exact on S, which is suffix-closed.  A run of consecutive factors
+    of degree > c/2 is one linear step: their product is 1 + P with
+    P = sum e (B - 1), and t += P t.  P has degree > c/2, so P t reads t only
+    below degree c - c//2 and writes it only above c//2: the step adds into
+    t in place.
     """
-    splits = lyndon_suffix_splits(r, c)
-    low_degree = c - c // 2
+    prefix_splits = lyndon_prefix_splits(r, c)
     t = {(): 1}
     for linear, run in groupby(reversed(factors), key=lambda f: 2 * len(f[0]) > c):
         if linear:
             p: dict = {}
             for word, e in run:
                 add_scaled(p, e, _basic_powers(r, c, word)[0])
-            low = {v: x for v, x in t.items() if len(v) < low_degree}
-            left_mul_on(p, low, splits, t)
+            left_mul_by(p, t, prefix_splits, t)
         else:
             for word, e in run:
-                t = left_mul_on(_basic_power(r, c, word, e), t, splits, dict(t))
+                t = left_mul_by(_basic_power(r, c, word, e), t, prefix_splits, dict(t))
     return t
 
 

@@ -102,6 +102,27 @@ def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
     return out
 
 
+def left_mul_by(p: dict, t: dict, prefix_splits: dict, out: dict) -> dict:
+    """out += (p - p[()]) t read on a suffix-closed word set S, in place.
+
+    The walk of left_mul_on turned around, for a left factor sparser than t:
+    prefix_splits (words.lyndon_prefix_splits) maps each nonempty prefix u of
+    a word of S to the pairs (v, uv) with uv in S, and the words of p that
+    are no such prefix are skipped.  t must be exact on S.
+    """
+    get, t_get = out.get, t.get
+    for u, cu in p.items():
+        for v, x in prefix_splits.get(u, ()):
+            cv = t_get(v)
+            if cv:
+                s = get(x, 0) + cu * cv
+                if s:
+                    out[x] = s
+                else:
+                    del out[x]
+    return out
+
+
 def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = None) -> list:
     """Ring substitution X_i -> letter_images[i - 1] of each of polys, truncated at max_deg.
 
@@ -144,6 +165,9 @@ def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = N
         for word, coeff in poly.items():
             add_scaled(out, coeff, substituted(word))
         images.append(out)
+    # substituted refers to itself, a cycle that only the garbage collector
+    # frees: empty the cache now so the word images go with this call
+    suffix_cache.clear()
     return images
 
 
@@ -183,6 +207,26 @@ def poly_group_commutator(a: dict, b: dict, max_deg: int) -> dict:
     ai = poly_unit_inverse(a, max_deg)
     bi = poly_unit_inverse(b, max_deg)
     return poly_mul(poly_mul(poly_mul(ai, bi, max_deg), a, max_deg), b, max_deg)
+
+
+def unit_commutator(a: dict, b: dict, max_deg: int) -> dict:
+    """a^-1 b^-1 a b = 1 + (b a)^-1 (A B - B A) for unit series a = 1 + A, b = 1 + B.
+
+    A B - B A has least degree lo >= (least degree of A) + (least degree of
+    B), so (b a)^-1 = a^-1 b^-1 is needed only up to degree max_deg - lo;
+    for lo = max_deg the result is 1 + A B - B A.  Only the terms of A and B
+    that can pair under truncation enter A B and B A, as in unit_mul.
+    """
+    a_deg = [x for x in _by_degree(a, max_deg - _low_degree(b, max_deg)) if x[0]]
+    b_deg = [x for x in _by_degree(b, max_deg - _low_degree(a, max_deg)) if x[0]]
+    diff = _mul_buckets(a_deg, b_deg, max_deg, {})
+    _mul_buckets(b_deg, [(d, [(w, -x) for w, x in terms]) for d, terms in a_deg], max_deg, diff)
+    room = max_deg - _low_degree(diff, max_deg)
+    if room > 0:
+        inverse = unit_mul(poly_unit_pow(a, -1, room), poly_unit_pow(b, -1, room), room)
+        diff = _mul_buckets(_by_degree(inverse, room), _by_degree(diff, max_deg), max_deg, {})
+    diff[()] = 1
+    return diff
 
 
 @dataclass(frozen=True)

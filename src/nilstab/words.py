@@ -85,9 +85,8 @@ def lyndon_words(r: int, n: int) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
-def lyndon_suffix_splits(r: int, c: int) -> dict:
-    """S(r, c), the empty word and every suffix of a Lyndon word of length <= c,
-    as a table: each v in S maps to the pairs (u, uv) with u nonempty and uv in S.
+def lyndon_suffixes(r: int, c: int) -> frozenset:
+    """S(r, c), the empty word and every suffix of a Lyndon word of length <= c.
 
     S is suffix-closed, so a left product p.t read on S needs t on S alone:
     (p t)[x] = sum over x = u v of p[u] t[v], and every such v is in S.
@@ -96,11 +95,30 @@ def lyndon_suffix_splits(r: int, c: int) -> dict:
     for n in range(1, c + 1):
         for w in lyndon_words(r, n):
             words.update(w[k:] for k in range(n))
-    splits: dict = {v: [] for v in words}
+    return frozenset(words)
+
+
+@lru_cache(maxsize=None)
+def lyndon_suffix_splits(r: int, c: int) -> dict:
+    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
+    nonempty and uv in S."""
+    splits: dict = {v: [] for v in lyndon_suffixes(r, c)}
     for x in splits:
         for k in range(1, len(x) + 1):
             splits[x[k:]].append((x[:k], x))
     return {v: tuple(pairs) for v, pairs in splits.items()}
+
+
+@lru_cache(maxsize=None)
+def lyndon_prefix_splits(r: int, c: int) -> dict:
+    """The splits of S(r, c) by their left part: each nonempty prefix u of a
+    word of S maps to the pairs (v, uv) with uv in S.  The same triples as
+    lyndon_suffix_splits, keyed for a walk over the left factor of p.t."""
+    splits: dict = {}
+    for x in lyndon_suffixes(r, c):
+        for k in range(1, len(x) + 1):
+            splits.setdefault(x[:k], []).append((x[k:], x))
+    return {u: tuple(pairs) for u, pairs in splits.items()}
 
 
 def standard_factorization(word: tuple) -> tuple[tuple, tuple]:

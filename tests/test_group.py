@@ -8,7 +8,10 @@ import pytest
 from nilstab.group import (
     GroupElement,
     NotAGroupElement,
+    _basic_on_support,
+    _basic_powers,
     _basic_series,
+    _full_basic_powers,
     _peel,
     center_test,
     comm,
@@ -30,11 +33,14 @@ from nilstab.lie import LieElement
 from nilstab.series import (
     TruncatedSeries,
     add_scaled,
+    left_mul_by,
+    left_mul_on,
     poly_group_commutator,
     poly_mul,
     poly_substitute,
     poly_unit_inverse,
     poly_unit_pow,
+    unit_commutator,
     unit_mul,
 )
 from nilstab.verify import random_group_element
@@ -42,7 +48,9 @@ from nilstab.words import (
     LyndonBasisElement,
     graded_basis,
     is_lyndon,
+    lyndon_prefix_splits,
     lyndon_suffix_splits,
+    standard_factorization,
     witt_rank,
 )
 
@@ -253,6 +261,57 @@ def test_unit_mul_matches_the_pair_loop():
     assert t == {(): 1, (2,): -2}
 
 
+def test_unit_commutator_matches_the_oracle_commutator():
+    # random unit series, mostly not group-like; least degrees 1..c, and an
+    # empty or one-term nonconstant part now and then
+    rng = random.Random(67)
+    for _ in range(300):
+        r, c = rng.randint(1, 3), rng.randint(1, 6)
+        a, b = (
+            {**_random_poly(rng, r, c, rng.choice((0, 1, 2, 5, 12)), rng.randint(1, c)), (): 1}
+            for _ in range(2)
+        )
+        assert unit_commutator(a, b, c) == poly_group_commutator(a, b, c)
+    assert unit_commutator({(): 1, (1,): 1}, {(): 1, (1,): 1}, 4) == {(): 1}
+
+
+@pytest.mark.parametrize("r, c", [(2, 5), (3, 4), (3, 6), (4, 4), (2, 8), (4, 5)])
+def test_basic_series_matches_the_oracle_recursion(r, c):
+    # B_w = [B_u, B_v] for the standard factorization, each through the oracle
+    oracle: dict = {}
+
+    def basic(word):
+        if word not in oracle:
+            if len(word) == 1:
+                oracle[word] = {(): 1, word: 1}
+            else:
+                u, v = standard_factorization(word)
+                oracle[word] = poly_group_commutator(basic(u), basic(v), c)
+        return oracle[word]
+
+    for b in graded_basis(r, c):
+        assert _basic_series(r, c, b.word) == basic(b.word)
+
+
+@pytest.mark.parametrize("r, c", [(1, 4), (2, 3), (3, 4), (2, 5), (3, 6), (4, 4)])
+def test_left_mul_by_matches_left_mul_on(r, c):
+    # p may have a constant term and words that are no prefix of a word of S;
+    # t is exact on S, and out starts nonempty
+    rng = random.Random(f"left-mul/{r}/{c}")
+    suffix, prefix = lyndon_suffix_splits(r, c), lyndon_prefix_splits(r, c)
+    support = sorted(suffix)
+    outside = [w for w in _random_poly(rng, r, c, 20, 1) if w not in prefix]
+    for _ in range(20):
+        p = _random_poly(rng, r, c, rng.choice((0, 1, 3, 10, 30)))
+        if rng.random() < 0.5:
+            p[()] = rng.choice((1, -2, 10**12))
+        for w in rng.sample(outside, min(len(outside), 2)):
+            p[w] = rng.choice((-1, 3))
+        t = {w: rng.randint(-3, 3) or 1 for w in rng.sample(support, rng.randint(0, len(support)))}
+        out = {w: rng.randint(1, 3) for w in rng.sample(support, min(3, len(support)))}
+        assert left_mul_by(p, t, prefix, dict(out)) == left_mul_on(p, t, suffix, dict(out))
+
+
 def _oracle_comm(g, h):
     r, c = g.rank, g.class_bound
     series = poly_group_commutator(
@@ -279,7 +338,8 @@ def test_comm_matches_the_series_commutator(r, c):
 
 
 def test_comm_does_not_use_the_oracle_commutator(monkeypatch):
-    # once the basic series are cached, comm must not lean on the oracle it is checked by
+    # comm must not lean on the oracle it is checked by, even while it builds
+    # the basic series afresh
     r, c = 3, 5
     rng = random.Random(65)
     pairs = [
@@ -290,10 +350,12 @@ def test_comm_does_not_use_the_oracle_commutator(monkeypatch):
     expected = [_oracle_comm(g, h) for g, h in pairs]
 
     def refuse(*args):
-        raise AssertionError("poly_group_commutator called")
+        raise AssertionError("an oracle series function was called")
 
     monkeypatch.setattr("nilstab.series.poly_group_commutator", refuse)
-    monkeypatch.setattr("nilstab.group.poly_group_commutator", refuse)
+    monkeypatch.setattr("nilstab.series.poly_unit_inverse", refuse)
+    for cache in (_basic_series, _full_basic_powers, _basic_powers, _basic_on_support):
+        cache.cache_clear()
     for (g, h), want in zip(pairs, expected):
         fresh = [GroupElement.from_exponents(r, c, x.exponents) for x in (g, h)]
         assert comm(*fresh) == want

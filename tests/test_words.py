@@ -9,7 +9,9 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_basis,
+    lyndon_prefix_splits,
     lyndon_suffix_splits,
+    lyndon_suffixes,
     lyndon_words,
     mobius,
     standard_factorization,
@@ -159,3 +161,15 @@ def test_lyndon_suffix_splits_against_brute_force(r, c):
             if len(x) > len(v) and x[len(x) - len(v):] == v
         ]
         assert sorted(pairs) == sorted(expected)
+
+
+@pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (2, 5), (3, 4), (3, 6), (2, 8), (4, 5)])
+def test_lyndon_prefix_splits_hold_the_suffix_table_triples(r, c):
+    # the same (u, v, uv) triples, keyed by the left part u, which is never empty
+    suffix = lyndon_suffix_splits(r, c)
+    prefix = lyndon_prefix_splits(r, c)
+    by_suffix = sorted((u, v, x) for v, pairs in suffix.items() for u, x in pairs)
+    by_prefix = sorted((u, v, x) for u, pairs in prefix.items() for v, x in pairs)
+    assert by_prefix == by_suffix
+    assert all(u and pairs for u, pairs in prefix.items())
+    assert lyndon_suffixes(r, c) == frozenset(suffix)
