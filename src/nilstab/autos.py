@@ -2,13 +2,18 @@
 
 An endomorphism is its list of generator images.  Applying one to an element
 happens on the Magnus side: the ring substitution X_i -> embed(image_i) - 1
-followed by the peel, group._peel.  The images are kept on S(r, c) only, the
-empty word and every suffix of a Lyndon word of length <= c (118 of the 340
-words at (4,4)): the peel reads Lyndon-word coefficients, and as S is
-suffix-closed, the image of a word w, L_(w_1) * image(w[1:]), read on S needs
-image(w[1:]) on S alone.  A word outside S still has an image on S, so each
-element enters with its full series.  The residual check ends the peel; the
-results carry no cached series.
+followed by the peel, group._peel.  The images are kept on P(r, c) only, the
+empty word and every factor of a Lyndon word of length <= c (124 of the 340
+words at (4,4)): P is suffix-closed, so the image of a word w,
+L_(w_1) * image(w[1:]), read on P needs image(w[1:]) on P alone, and it reads
+the letter image L_(w_1) only at the nonempty words of P.  The peel reads the
+images on S(r, c), the suffixes of the Lyndon words, which lie in P.  A word
+outside P still has an image on P, so each element enters with its full
+series.  The residual check ends the peel.
+
+The endomorphism that compose returns keeps its images' series on P, so a
+later substitution by it reads its letters with no embedding; any other
+endomorphism's images are embedded in full and cut to P.
 
 The projection to class c-1, the set-theoretic lift back, and the mutually
 inverse maps between the kernel of the projection and integer matrices (one
@@ -18,11 +23,14 @@ tower step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import intlinalg
 from .group import (
     GroupElement,
+    _collected,
+    _factors,
+    _inverse_factors,
     _json_fields,
     _peel,
     element_from_json,
@@ -33,7 +41,14 @@ from .group import (
     truncate,
 )
 from .series import poly_substitute
-from .words import LyndonBasisElement, lyndon_basis, lyndon_suffix_splits, witt_rank
+from .words import (
+    LyndonBasisElement,
+    lyndon_basis,
+    lyndon_factor_splits,
+    lyndon_factors,
+    lyndon_suffixes,
+    witt_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +58,8 @@ class Endo:
     rank: int
     class_bound: int
     images: tuple  # r GroupElements
+    # empty, or the images' series on P(r, c), one dict per image; set by compose only
+    _on_factors: tuple = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != self.rank:
@@ -78,29 +95,49 @@ def endo_from_images(images) -> Endo:
     return Endo(g0.rank, g0.class_bound, images)
 
 
+def _letters(e: Endo) -> tuple:
+    """The series of e's images on P(r, c): kept by compose, or embedded in full
+    and cut to P."""
+    if e._on_factors:
+        return e._on_factors
+    factors = lyndon_factors(e.rank, e.class_bound)
+    return tuple(
+        {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
+        for img in e.images
+    )
+
+
 def _substitute(e: Endo, elements) -> tuple:
     """e applied to each element, by one ring substitution on their Magnus series,
-    kept on the Lyndon-suffix support and peeled there."""
+    kept on P(r, c) and peeled on S(r, c): the images and their series on P."""
     r, c = e.rank, e.class_bound
-    # X_i goes to embed(image) - 1
-    letters = [{w: x for w, x in magnus_embed(img).coefficients.items() if w} for img in e.images]
+    # X_i goes to embed(image) - 1; the substitution never reads a constant term
     series = [magnus_embed(g).coefficients for g in elements]
-    images = poly_substitute(series, letters, c, lyndon_suffix_splits(r, c))
-    return tuple(GroupElement(r, c, _peel(r, c, out)) for out in images)
+    on_factors = poly_substitute(series, _letters(e), c, lyndon_factor_splits(r, c))
+    support = lyndon_suffixes(r, c)
+    images = tuple(
+        GroupElement(r, c, _peel(r, c, {w: x for w, x in out.items() if w in support}))
+        for out in on_factors
+    )
+    return images, tuple(on_factors)
 
 
 def apply_endo(e: Endo, g: GroupElement) -> GroupElement:
     """e(g), computed by ring substitution on the Magnus series of g."""
     if (e.rank, e.class_bound) != (g.rank, g.class_bound):
         raise ValueError("rank/class mismatch")
-    return _substitute(e, (g,))[0]
+    return _substitute(e, (g,))[0][0]
 
 
 def compose(e1: Endo, e2: Endo) -> Endo:
-    """e1 after e2: generator i goes to e1(e2(x_i)); all images substituted at once."""
+    """e1 after e2: generator i goes to e1(e2(x_i)); all images substituted at
+    once.  The result keeps its images' series on P for its own substitutions."""
     if (e1.rank, e1.class_bound) != (e2.rank, e2.class_bound):
         raise ValueError("rank/class mismatch")
-    return Endo(e1.rank, e1.class_bound, _substitute(e1, e2.images))
+    images, on_factors = _substitute(e1, e2.images)
+    result = Endo(e1.rank, e1.class_bound, images)
+    object.__setattr__(result, "_on_factors", on_factors)
+    return result
 
 
 def abelianization_matrix(e: Endo):
@@ -145,9 +182,10 @@ def invert(e: Endo) -> Endo:
             break
         correction = []
         for i in range(r):
-            x_i = GroupElement.generator(r, c, i + 1)
-            defect = mul(inv(x_i), h.images[i])  # lies one degree deeper each pass
-            correction.append(mul(x_i, inv(defect)))
+            # x_i d^-1 = x_i h(x_i)^-1 x_i, one product, where the defect
+            # d = x_i^-1 h(x_i) lies deeper each pass
+            x_i = _factors(GroupElement.generator(r, c, i + 1))
+            correction.append(_collected(r, c, x_i + _inverse_factors(h.images[i]) + x_i))
         u = Endo(r, c, tuple(correction))
         f = compose(f, u)
         h = compose(h, u)

@@ -86,8 +86,10 @@ def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
 def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
     """out += (p - p[()]) t read on a suffix-closed word set S, in place.
 
-    splits is the table of S (words.lyndon_suffix_splits): each v in S with
-    the pairs (u, uv), u nonempty, that lie in S.  t must be supported on S.
+    splits is the table of S keyed by the right part (words.lyndon_factor_splits
+    for the factor set P): each v in S with the pairs (u, uv), u nonempty, that
+    lie in S.  t must be supported on S; p is read only at the nonempty words
+    of S.
     """
     get, p_get = out.get, p.get
     for v, cv in t.items():
@@ -131,9 +133,10 @@ def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = N
     suffix, in one polynomial or across them, share that product.
 
     With support, the split table of a suffix-closed word set S (see
-    left_mul_on), and letter images without constant term, every image is
-    kept on S only: a left product read on S reads its right factor on S
-    alone, so the results are exact on S.
+    left_mul_on), every image is kept on S only: a left product read on S
+    reads its right factor on S alone, so the results are exact on S.  The
+    letter images are then read only at the nonempty words of S, so they may
+    be given on S, and their constant terms are never read.
     """
     if support is None:
         letters = [_by_degree(image, max_deg) for image in letter_images]

@@ -99,26 +99,38 @@ def lyndon_suffixes(r: int, c: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def lyndon_suffix_splits(r: int, c: int) -> dict:
-    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
-    nonempty and uv in S."""
-    splits: dict = {v: [] for v in lyndon_suffixes(r, c)}
-    for x in splits:
-        for k in range(1, len(x) + 1):
-            splits[x[k:]].append((x[:k], x))
-    return {v: tuple(pairs) for v, pairs in splits.items()}
-
-
-@lru_cache(maxsize=None)
 def lyndon_prefix_splits(r: int, c: int) -> dict:
     """The splits of S(r, c) by their left part: each nonempty prefix u of a
-    word of S maps to the pairs (v, uv) with uv in S.  The same triples as
-    lyndon_suffix_splits, keyed for a walk over the left factor of p.t."""
+    word of S maps to the pairs (v, uv) with uv in S, the table of a walk over
+    the left factor of p.t."""
     splits: dict = {}
     for x in lyndon_suffixes(r, c):
         for k in range(1, len(x) + 1):
             splits.setdefault(x[:k], []).append((x[k:], x))
     return {u: tuple(pairs) for u, pairs in splits.items()}
+
+
+@lru_cache(maxsize=None)
+def lyndon_factors(r: int, c: int) -> frozenset:
+    """P(r, c), the empty word and every factor of a Lyndon word of length <= c.
+
+    A factor is a prefix of a suffix, so P is {()} and the nonempty prefixes of
+    the words of S(r, c): the words at which a left product read on S reads its
+    left factor.  P contains S and is factor-closed, so it is suffix-closed too.
+    """
+    prefixes = {x[:k] for x in lyndon_suffixes(r, c) for k in range(1, len(x) + 1)}
+    return frozenset({()} | prefixes)
+
+
+@lru_cache(maxsize=None)
+def lyndon_factor_splits(r: int, c: int) -> dict:
+    """P(r, c) as a table: each v in P maps to the pairs (u, uv) with u
+    nonempty and uv in P, the table of a walk over the right factor of p.t."""
+    splits: dict = {v: [] for v in lyndon_factors(r, c)}
+    for x in splits:
+        for k in range(1, len(x) + 1):
+            splits[x[k:]].append((x[:k], x))
+    return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
 def standard_factorization(word: tuple) -> tuple[tuple, tuple]:

@@ -1,5 +1,6 @@
 """Automorphism tower: projection, lifts, and the kernel correspondence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -95,6 +96,44 @@ def test_compose_substitutes_once(monkeypatch):
     monkeypatch.setattr(autos, "poly_substitute", counted)
     compose(e1, e2)
     assert substituted == [3]
+
+
+@pytest.mark.parametrize("r, c", [(3, 4), (4, 4), (3, 5), (2, 6)])
+def test_compose_result_substitutes_by_its_carried_series(r, c, monkeypatch):
+    # a compose result keeps its images' series on P; the same images in a
+    # fresh Endo carry none and are embedded in full, and a fresh second
+    # operand carries no series that could be read in place of the first's
+    rng = random.Random(f"carried/{r}/{c}")
+    embedded = []
+    embed = autos.magnus_embed
+
+    def counted(g):
+        embedded.append(g)
+        return embed(g)
+
+    monkeypatch.setattr(autos, "magnus_embed", counted)
+    for _ in range(2):
+        e = compose(random_automorphism(rng, r, c), random_automorphism(rng, r, c))
+        other = random_automorphism(rng, r, c)
+        g = random_group_element(rng, r, c)
+        embedded.clear()
+        carried = (compose(e, other), apply_endo(e, g))
+        assert not any(x is img for x in embedded for img in e.images)
+        fresh = Endo(r, c, e.images)
+        embedded.clear()
+        assert (compose(fresh, Endo(r, c, other.images)), apply_endo(fresh, g)) == carried
+        # the fresh Endo's letters are embedded in each of the two calls
+        assert sum(any(x is img for img in e.images) for x in embedded) == 2 * r
+
+
+def test_carried_series_are_set_by_compose_only():
+    rng = random.Random(74)
+    e = compose(random_automorphism(rng, 3, 4), random_automorphism(rng, 3, 4))
+    assert e._on_factors
+    with pytest.raises(TypeError):
+        Endo(3, 4, e.images, e._on_factors)
+    copy = dataclasses.replace(e, images=Endo.identity(3, 4).images)
+    assert not copy._on_factors
 
 
 def test_abelianization_matrix_examples():

@@ -49,10 +49,20 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_prefix_splits,
-    lyndon_suffix_splits,
+    lyndon_suffixes,
     standard_factorization,
     witt_rank,
 )
+
+
+def lyndon_suffix_splits(r, c):
+    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
+    nonempty and uv in S, the table series.left_mul_on walks."""
+    splits = {v: [] for v in lyndon_suffixes(r, c)}
+    for x in splits:
+        for k in range(1, len(x) + 1):
+            splits[x[k:]].append((x[:k], x))
+    return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
 def gens(r, c):

@@ -9,14 +9,25 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_basis,
+    lyndon_factor_splits,
+    lyndon_factors,
     lyndon_prefix_splits,
-    lyndon_suffix_splits,
     lyndon_suffixes,
     lyndon_words,
     mobius,
     standard_factorization,
     witt_rank,
 )
+
+
+def lyndon_suffix_splits(r, c):
+    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
+    nonempty and uv in S, the table series.left_mul_on walks."""
+    splits = {v: [] for v in lyndon_suffixes(r, c)}
+    for x in splits:
+        for k in range(1, len(x) + 1):
+            splits[x[k:]].append((x[:k], x))
+    return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
 def mobius_oracle(n):
@@ -173,3 +184,29 @@ def test_lyndon_prefix_splits_hold_the_suffix_table_triples(r, c):
     assert by_prefix == by_suffix
     assert all(u and pairs for u, pairs in prefix.items())
     assert lyndon_suffixes(r, c) == frozenset(suffix)
+
+
+@pytest.mark.parametrize(
+    "r, c, count", [(3, 4, 46), (4, 4, 124), (3, 5, 130), (3, 6, 340), (2, 8, 162), (4, 5, 448)]
+)
+def test_lyndon_factors_against_brute_force(r, c, count):
+    # P: the empty word and every factor of a Lyndon word of length <= c, which
+    # are the nonempty prefixes of the words of S; each v in P lists every
+    # (u, uv) with u nonempty and uv in P
+    lyndon = [w for n in range(1, c + 1) for w in brute_force_lyndon(r, n)]
+    factors = {w[i:j] for w in lyndon for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    assert lyndon_factors(r, c) == frozenset({()} | factors)
+    suffixes = lyndon_suffixes(r, c)
+    prefixes = {x[:k] for x in suffixes for k in range(1, len(x) + 1)}
+    assert lyndon_factors(r, c) == frozenset({()} | prefixes)
+    assert suffixes <= lyndon_factors(r, c)
+    assert len(lyndon_factors(r, c)) - 1 == count
+    splits = lyndon_factor_splits(r, c)
+    assert set(splits) == lyndon_factors(r, c)
+    for v, pairs in splits.items():
+        expected = [
+            (x[: len(x) - len(v)], x)
+            for x in splits
+            if len(x) > len(v) and x[len(x) - len(v):] == v
+        ]
+        assert sorted(pairs) == sorted(expected)
