@@ -4,12 +4,12 @@ An endomorphism is its list of generator images.  Applying one to an element
 happens on the Magnus side: the ring substitution X_i -> embed(image_i) - 1
 followed by the peel, group._peel.  The images are kept on P(r, c) only, the
 empty word and every factor of a Lyndon word of length <= c (124 of the 340
-words at (4,4)): P is suffix-closed, so the image of a word w,
-L_(w_1) * image(w[1:]), read on P needs image(w[1:]) on P alone, and it reads
-the letter image L_(w_1) only at the nonempty words of P.  The peel reads the
-images on S(r, c), the suffixes of the Lyndon words, which lie in P.  A word
-outside P still has an image on P, so each element enters with its full
-series.  The residual check ends the peel.
+nonempty words at (4,4)), the word set of all group arithmetic: P is
+suffix-closed, so the image of a word w, L_(w_1) * image(w[1:]), read on P
+needs image(w[1:]) on P alone, and it reads the letter image L_(w_1) only at
+the nonempty words of P.  Each image is peeled as it is, so the peel's
+residual check covers every word of P that the images carry.  A word outside
+P still has an image on P, so each element enters with its full series.
 
 The endomorphism that compose returns keeps its images' series on P, so a
 later substitution by it reads its letters with no embedding; any other
@@ -46,7 +46,6 @@ from .words import (
     lyndon_basis,
     lyndon_factor_splits,
     lyndon_factors,
-    lyndon_suffixes,
     witt_rank,
 )
 
@@ -108,17 +107,13 @@ def _letters(e: Endo) -> tuple:
 
 
 def _substitute(e: Endo, elements) -> tuple:
-    """e applied to each element, by one ring substitution on their Magnus series,
-    kept on P(r, c) and peeled on S(r, c): the images and their series on P."""
+    """e applied to each element, by one ring substitution on their Magnus series
+    read on P(r, c), each output peeled as it is: the images and their series on P."""
     r, c = e.rank, e.class_bound
     # X_i goes to embed(image) - 1; the substitution never reads a constant term
     series = [magnus_embed(g).coefficients for g in elements]
     on_factors = poly_substitute(series, _letters(e), c, lyndon_factor_splits(r, c))
-    support = lyndon_suffixes(r, c)
-    images = tuple(
-        GroupElement(r, c, _peel(r, c, {w: x for w, x in out.items() if w in support}))
-        for out in on_factors
-    )
+    images = tuple(GroupElement(r, c, _peel(r, c, out)) for out in on_factors)
     return images, tuple(on_factors)
 
 

@@ -87,11 +87,12 @@ def _config(args, need_class: bool = True) -> CommandConfig:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
+    except ValueError:
+        raise UsageError(f"bad rank range {text!r}") from None
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
     # a range, not a list: the rank bound is checked on its end before any use

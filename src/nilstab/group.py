@@ -10,18 +10,21 @@ As [gamma_i, gamma_j] lies in gamma_(i+j), a basic commutator B of degree > c/2
 has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
 the embed and the peel sum them; only degrees <= c/2 take series products.
 
-The peel reads only Lyndon-word coefficients, which determine the exponents
-through unitriangular systems, so it runs on S(r, c), the empty word and the
-suffixes of the Lyndon words of length <= c (301 of the 1,092 words at (3,6)):
-S is suffix-closed, so a left product p t read on S needs t on S alone.
-mul, inv and comm never build a full series: they list the basic powers of
-their result as a product (g's factors then h's; g's reversed and negated;
-four such lists for g^-1 h^-1 g h), multiply them on S one left factor at a
-time, from the last to the first, with B^e from the cached powers of B - 1,
-and peel the result on S.  A run of factors of degree > c/2 enters as one
-linear step.  These products and the peel's divisions walk the words of the
-sparse left factor (series.left_mul_by over words.lyndon_prefix_splits), not
-those of the dense right factor.  Their results carry no cached series.
+All of it runs on P(r, c), the empty word and every factor of a Lyndon word
+of length <= c (words.lyndon_factors; 340 of the 1,092 nonempty words at
+(3,6)).  P holds every prefix and every suffix of its words, so a product
+p t read on P is exact there and reads p and t on P alone.  The peel reads
+only Lyndon-word coefficients, which determine the exponents through
+unitriangular systems, and ends by checking that the residual is 1 on all of
+P.  mul, inv and comm never build a full series: they list the basic powers
+of their result as a product (g's factors then h's; g's reversed and
+negated; four such lists for g^-1 h^-1 g h), multiply them on P one left
+factor at a time, from the last to the first, with B^e from the cached
+powers of B - 1 on P, and peel the result.  A run of factors of degree > c/2
+enters as one linear step.  These products, the powers and the peel's
+divisions walk the words of the sparse left factor (series.left_mul_by over
+words.lyndon_prefix_splits), not those of the dense right factor.  Their
+results carry no cached series.
 
 _basic_series, the one cache of basic-commutator series that the embed, the
 powers and the peel read, builds B_w = [B_u, B_v] for the standard
@@ -30,10 +33,10 @@ only up to degree c - len(w).
 
 The full-series path stays the independent oracle: magnus_embed multiplies
 poly_unit_pow powers with unit products (series.unit_mul, which multiplies
-out only the terms whose degrees can still pair), and poly_mul and
+out only the terms whose degrees can still pair), and series.poly_mul and
 series.poly_group_commutator multiply every pair of terms.  magnus_peel
-peels a full series on S and accepts it only if the embedding of the result
-is that series: a series has at most one candidate preimage.
+peels a full series read on P and accepts it only if the embedding of the
+result is that series: a series has at most one candidate preimage.
 
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
@@ -50,7 +53,6 @@ from .series import (
     TruncatedSeries,
     add_scaled,
     left_mul_by,
-    poly_mul,
     poly_unit_pow,
     unit_commutator,
     unit_mul,
@@ -58,8 +60,8 @@ from .series import (
 from .words import (
     LyndonBasisElement,
     lyndon_basis,
+    lyndon_factors,
     lyndon_prefix_splits,
-    lyndon_suffixes,
     standard_factorization,
     witt_rank,
 )
@@ -81,29 +83,20 @@ def _basic_series(r: int, c: int, word: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _full_basic_powers(r: int, c: int, word: tuple) -> tuple:
+def _basic_powers(r: int, c: int, word: tuple) -> tuple:
     """The powers N, N^2, ..., N^(c // len(word)) of N = B - 1 for the basic
-    commutator B of a Lyndon word; N has least degree len(word), so the next
-    power is truncated away."""
-    n = {w: x for w, x in _basic_series(r, c, word).items() if w}
+    commutator B of a Lyndon word, read on P(r, c), each one left product by
+    N on P; N has least degree len(word), so the next power is truncated away."""
+    prefix_splits = lyndon_prefix_splits(r, c)
+    n = {w: x for w, x in _basic_series(r, c, word).items() if w in prefix_splits}
     powers = [n]
     for _ in range(c // len(word) - 1):
-        powers.append(poly_mul(powers[-1], n, c))
+        powers.append(left_mul_by(n, powers[-1], prefix_splits, {}))
     return tuple(powers)
 
 
-@lru_cache(maxsize=None)
-def _basic_powers(r: int, c: int, word: tuple) -> tuple:
-    """The powers of N = B - 1 (_full_basic_powers), each kept only at the
-    words at which a left product on S(r, c) reads its left factor: the
-    nonempty prefixes of the words of S."""
-    keep = lyndon_prefix_splits(r, c)
-    return tuple({w: x for w, x in p.items() if w in keep} for p in _full_basic_powers(r, c, word))
-
-
 def _basic_power(r: int, c: int, word: tuple, e: int) -> dict:
-    """B^e = sum_k C(e, k) N^k from the cached powers of N = B - 1, kept as
-    _basic_powers keeps them.
+    """B^e = sum_k C(e, k) N^k on P(r, c) from the cached powers of N = B - 1.
 
     C(e, k) = C(e, k-1) * (e-k+1) / k is an exact integer for every integer e;
     the sum ends once C(e, k) = 0 (0 <= e < k) or N^k is truncated away.
@@ -232,21 +225,21 @@ def _tail_basis(r: int, c: int) -> tuple:
 
 
 def _peel(r: int, c: int, coeffs: dict) -> dict:
-    """Exponent dict of a group element from its Magnus series read on S(r, c),
+    """Exponent dict of a group element from its Magnus series read on P(r, c),
     or raise NotAGroupElement.
 
-    S is the empty word and the suffixes of the Lyndon words of length <= c
-    (words.lyndon_suffixes).  Reads only Lyndon-word coefficients of the
+    P is the empty word and every factor of a Lyndon word of length <= c
+    (words.lyndon_factors).  Reads only Lyndon-word coefficients of the
     residual t, a copy of coeffs.  Degree n <= c/2: the degree-n Lie part of t
     has the coordinates that forward substitution over the degree-n envelope
     table finds in them; then (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t,
-    one left factor at a time, each exact on S as S is suffix-closed.  Degrees
-    > c/2: these factors multiply by addition, so what is left is
-    1 + sum e_b (B_b - 1), and B_b - 1 is b plus words later in basis order:
-    each e_b is t's coefficient on b once the earlier e(B - 1) are subtracted.
-    The residual must then be exactly 1 on S.  That check catches a fault in
-    a series computed from group elements, but cannot decide whether a series
-    lies in the image; magnus_peel decides it by re-embedding the result.
+    one left factor at a time, each exact on P.  Degrees > c/2: these factors
+    multiply by addition, so what is left is 1 + sum e_b (B_b - 1), and
+    B_b - 1 is b plus words later in basis order: each e_b is t's coefficient
+    on b once the earlier e(B - 1) are subtracted.  The residual must then be
+    exactly 1 on P.  That check catches a fault at any word of P in a series
+    computed from group elements, but cannot decide whether a series lies in
+    the image; magnus_peel decides it by re-embedding the result.
     """
     if coeffs.get((), 0) != 1:
         raise NotAGroupElement("constant term is not 1")
@@ -269,29 +262,21 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
         e = t.get(b.word)
         if e:
             exps[b] = e
-            add_scaled(t, -e, _basic_on_support(r, c, b.word))
-            t[()] = 1
+            add_scaled(t, -e, _basic_powers(r, c, b.word)[0])
     if t != {(): 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps
 
 
-@lru_cache(maxsize=None)
-def _basic_on_support(r: int, c: int, word: tuple) -> dict:
-    """The Magnus series of a basic commutator, on the Lyndon-suffix support S(r, c)."""
-    support = lyndon_suffixes(r, c)
-    return {w: x for w, x in _basic_series(r, c, word).items() if w in support}
-
-
 def magnus_peel(s: TruncatedSeries) -> GroupElement:
     """Inverse of magnus_embed on its image; errors on anything else.
 
-    Peels s read on S(r, c), then re-embeds the only candidate preimage:
+    Peels s read on P(r, c), then re-embeds the only candidate preimage:
     s is in the image exactly when that embedding is s.
     """
     r, c = s.rank, s.class_bound
-    support = lyndon_suffixes(r, c)
-    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in support}))
+    factors = lyndon_factors(r, c)
+    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in factors}))
     if magnus_embed(g).coefficients != s.coefficients:
         raise NotAGroupElement("the series differs from the embedding of its peel")
     return g
@@ -307,15 +292,14 @@ def _inverse_factors(g: GroupElement) -> list:
 
 
 def _product_on_support(r: int, c: int, factors: list) -> dict:
-    """The Magnus series of the product of basic powers B_word^e, read on S(r, c).
+    """The Magnus series of the product of basic powers B_word^e, read on P(r, c).
 
     One left product at a time, from the last factor to the first, each a
-    walk over the words of B^e that _basic_powers keeps (series.left_mul_by);
-    each is exact on S, which is suffix-closed.  A run of consecutive factors
-    of degree > c/2 is one linear step: their product is 1 + P with
-    P = sum e (B - 1), and t += P t.  P has degree > c/2, so P t reads t only
-    below degree c - c//2 and writes it only above c//2: the step adds into
-    t in place.
+    walk over the words of B^e on P (series.left_mul_by), and each exact on P.
+    A run of consecutive factors of degree > c/2 is one linear step: their
+    product is 1 + L with L = sum e (B - 1), and t += L t.  L has degree
+    > c/2, so L t reads t only below degree c - c//2 and writes it only
+    above c//2: the step adds into t in place.
     """
     prefix_splits = lyndon_prefix_splits(r, c)
     t = {(): 1}
@@ -332,8 +316,8 @@ def _product_on_support(r: int, c: int, factors: list) -> dict:
 
 
 def _collected(r: int, c: int, factors: list) -> GroupElement:
-    """The product of the factors in collected form, peeled on S(r, c); a product
-    that reads {(): 1} on S is the identity and needs no peel."""
+    """The product of the factors in collected form, peeled on P(r, c); a product
+    that reads {(): 1} on P is the identity and needs no peel."""
     t = _product_on_support(r, c, factors)
     if len(t) == 1:
         return GroupElement.identity(r, c)

@@ -84,12 +84,11 @@ def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
 
 
 def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
-    """out += (p - p[()]) t read on a suffix-closed word set S, in place.
+    """out += (p - p[()]) t read on P(r, c), in place.
 
-    splits is the table of S keyed by the right part (words.lyndon_factor_splits
-    for the factor set P): each v in S with the pairs (u, uv), u nonempty, that
-    lie in S.  t must be supported on S; p is read only at the nonempty words
-    of S.
+    splits is P's table by the right part (words.lyndon_factor_splits): each
+    v in P with the pairs (u, uv), u nonempty, that lie in P.  t must be
+    supported on P; p is read only at the nonempty words of P.
     """
     get, p_get = out.get, p.get
     for v, cv in t.items():
@@ -105,12 +104,12 @@ def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
 
 
 def left_mul_by(p: dict, t: dict, prefix_splits: dict, out: dict) -> dict:
-    """out += (p - p[()]) t read on a suffix-closed word set S, in place.
+    """out += (p - p[()]) t read on P(r, c), in place.
 
     The walk of left_mul_on turned around, for a left factor sparser than t:
-    prefix_splits (words.lyndon_prefix_splits) maps each nonempty prefix u of
-    a word of S to the pairs (v, uv) with uv in S, and the words of p that
-    are no such prefix are skipped.  t must be exact on S.
+    prefix_splits (words.lyndon_prefix_splits) maps each nonempty u in P to
+    the pairs (v, uv) with uv in P, and the words of p outside P are
+    skipped.  t must be exact on P.
     """
     get, t_get = out.get, t.get
     for u, cu in p.items():
@@ -132,11 +131,11 @@ def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = N
     the rest.  One suffix table serves every polynomial, so words sharing a
     suffix, in one polynomial or across them, share that product.
 
-    With support, the split table of a suffix-closed word set S (see
-    left_mul_on), every image is kept on S only: a left product read on S
-    reads its right factor on S alone, so the results are exact on S.  The
-    letter images are then read only at the nonempty words of S, so they may
-    be given on S, and their constant terms are never read.
+    With support, P(r, c)'s table by the right part (see left_mul_on), every
+    image is kept on P only: a left product read on P reads its right factor
+    on P alone, so the results are exact on P.  The letter images are then
+    read only at the nonempty words of P, so they may be given on P, and
+    their constant terms are never read.
     """
     if support is None:
         letters = [_by_degree(image, max_deg) for image in letter_images]

@@ -85,47 +85,36 @@ def lyndon_words(r: int, n: int) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
-def lyndon_suffixes(r: int, c: int) -> frozenset:
-    """S(r, c), the empty word and every suffix of a Lyndon word of length <= c.
+def lyndon_factors(r: int, c: int) -> frozenset:
+    """P(r, c), the empty word and every factor of a Lyndon word of length <= c.
 
-    S is suffix-closed, so a left product p.t read on S needs t on S alone:
-    (p t)[x] = sum over x = u v of p[u] t[v], and every such v is in S.
+    P is closed under taking prefixes and suffixes, so a left product p.t read
+    on P is exact there and needs only p and t on P: (p t)[x] is the sum over
+    x = u v of p[u] t[v], and u and v are factors of x.
     """
     words = {()}
     for n in range(1, c + 1):
         for w in lyndon_words(r, n):
-            words.update(w[k:] for k in range(n))
+            words.update(w[i:j] for i in range(n) for j in range(i + 1, n + 1))
     return frozenset(words)
 
 
 @lru_cache(maxsize=None)
 def lyndon_prefix_splits(r: int, c: int) -> dict:
-    """The splits of S(r, c) by their left part: each nonempty prefix u of a
-    word of S maps to the pairs (v, uv) with uv in S, the table of a walk over
-    the left factor of p.t."""
+    """P(r, c) as a table by the left part: each nonempty u in P maps to the
+    pairs (v, uv) with uv in P, the table of a walk over the left factor of p.t."""
     splits: dict = {}
-    for x in lyndon_suffixes(r, c):
+    for x in lyndon_factors(r, c):
         for k in range(1, len(x) + 1):
             splits.setdefault(x[:k], []).append((x[k:], x))
     return {u: tuple(pairs) for u, pairs in splits.items()}
 
 
 @lru_cache(maxsize=None)
-def lyndon_factors(r: int, c: int) -> frozenset:
-    """P(r, c), the empty word and every factor of a Lyndon word of length <= c.
-
-    A factor is a prefix of a suffix, so P is {()} and the nonempty prefixes of
-    the words of S(r, c): the words at which a left product read on S reads its
-    left factor.  P contains S and is factor-closed, so it is suffix-closed too.
-    """
-    prefixes = {x[:k] for x in lyndon_suffixes(r, c) for k in range(1, len(x) + 1)}
-    return frozenset({()} | prefixes)
-
-
-@lru_cache(maxsize=None)
 def lyndon_factor_splits(r: int, c: int) -> dict:
-    """P(r, c) as a table: each v in P maps to the pairs (u, uv) with u
-    nonempty and uv in P, the table of a walk over the right factor of p.t."""
+    """P(r, c) as a table by the right part: each v in P maps to the pairs
+    (u, uv) with u nonempty and uv in P, the table of a walk over the right
+    factor of p.t."""
     splits: dict = {v: [] for v in lyndon_factors(r, c)}
     for x in splits:
         for k in range(1, len(x) + 1):

@@ -27,7 +27,15 @@ from nilstab.autos import (
     sharp,
     stabilize,
 )
-from nilstab.group import GroupElement, comm, inv, mul, parse_element
+from nilstab.group import (
+    GroupElement,
+    NotAGroupElement,
+    comm,
+    inv,
+    magnus_embed,
+    mul,
+    parse_element,
+)
 from nilstab.intlinalg import identity, int_inverse, matmul, matvec
 from nilstab.modules import Hom, LieLayer, Std, eval_module
 from nilstab.series import poly_substitute
@@ -37,7 +45,7 @@ from nilstab.verify import (
     random_hom_map,
     random_unimodular,
 )
-from nilstab.words import witt_rank
+from nilstab.words import lyndon_factors, witt_rank
 
 
 def gens(r, c):
@@ -134,6 +142,39 @@ def test_carried_series_are_set_by_compose_only():
         Endo(3, 4, e.images, e._on_factors)
     copy = dataclasses.replace(e, images=Endo.identity(3, 4).images)
     assert not copy._on_factors
+
+
+@pytest.mark.parametrize("r, c", [(2, 3), (3, 4), (4, 4), (2, 6)])
+def test_substitution_is_checked_on_every_word_of_p(r, c, monkeypatch):
+    # a compose result carries its images' series on P exactly; a fault in the
+    # substituted series at (1, 1), a word of P that is no suffix of a Lyndon
+    # word, is caught by the peel in the call that made it
+    rng = random.Random(f"checked/{r}/{c}")
+    factors = lyndon_factors(r, c)
+    assert (1, 1) in factors
+    pairs = [(random_automorphism(rng, r, c), random_automorphism(rng, r, c)) for _ in range(2)]
+    for e1, e2 in pairs:
+        e = compose(e1, e2)
+        assert e._on_factors == tuple(
+            {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
+            for img in e.images
+        )
+
+    def faulty(polys, letter_images, max_deg, support=None):
+        images = poly_substitute(polys, letter_images, max_deg, support)
+        for image in images:
+            image[(1, 1)] = image.get((1, 1), 0) + 1
+            if not image[(1, 1)]:
+                del image[(1, 1)]
+        return images
+
+    monkeypatch.setattr(autos, "poly_substitute", faulty)
+    for e1, e2 in pairs:
+        with pytest.raises(NotAGroupElement):
+            compose(e1, e2)
+        for g in (GroupElement.identity(r, c), random_group_element(rng, r, c)):
+            with pytest.raises(NotAGroupElement):
+                apply_endo(e1, g)
 
 
 def test_abelianization_matrix_examples():

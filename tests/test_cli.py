@@ -264,6 +264,14 @@ def test_scan_bad_spec(capsys):
     assert "module spec" in err
 
 
+@pytest.mark.parametrize("text", ["1..x", "..3", "1..2..3", "3..", "x", ""])
+def test_scan_bad_rank_range(capsys, text):
+    code, out, err = run(capsys, "scan", "--spec", "std", "-c", "1", "-r", text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad rank range {text!r}\n"
+
+
 def test_snf_json(capsys):
     code, out, _ = run(capsys, "snf", "[[2, 0], [0, 3]]", "--format", "json")
     assert code == 0

@@ -8,10 +8,8 @@ import pytest
 from nilstab.group import (
     GroupElement,
     NotAGroupElement,
-    _basic_on_support,
     _basic_powers,
     _basic_series,
-    _full_basic_powers,
     _peel,
     center_test,
     comm,
@@ -48,21 +46,12 @@ from nilstab.words import (
     LyndonBasisElement,
     graded_basis,
     is_lyndon,
+    lyndon_factor_splits,
+    lyndon_factors,
     lyndon_prefix_splits,
-    lyndon_suffixes,
     standard_factorization,
     witt_rank,
 )
-
-
-def lyndon_suffix_splits(r, c):
-    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
-    nonempty and uv in S, the table series.left_mul_on walks."""
-    splits = {v: [] for v in lyndon_suffixes(r, c)}
-    for x in splits:
-        for k in range(1, len(x) + 1):
-            splits[x[k:]].append((x[:k], x))
-    return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
 def gens(r, c):
@@ -214,11 +203,11 @@ def test_poly_substitute_of_several_matches_each_alone():
 
 
 def test_poly_substitute_on_a_support_is_the_full_substitution_there():
-    # letter images may be empty or a single term; the support is S(r, c)
+    # letter images may be empty or a single term; the support is P(r, c)
     rng = random.Random(64)
     for _ in range(60):
         r, c = rng.choice(((1, 4), (2, 3), (3, 4), (2, 5), (2, 6), (3, 6)))
-        splits = lyndon_suffix_splits(r, c)
+        splits = lyndon_factor_splits(r, c)
         polys = [_random_poly(rng, r, c, 8) for _ in range(rng.randint(1, 3))] + [{}]
         images = [_random_poly(rng, r, c, rng.choice((0, 1, 1, 3, 8)), min_deg=1) for _ in range(r)]
         full = poly_substitute(polys, images, c)
@@ -303,13 +292,28 @@ def test_basic_series_matches_the_oracle_recursion(r, c):
         assert _basic_series(r, c, b.word) == basic(b.word)
 
 
+@pytest.mark.parametrize("r, c", [(2, 5), (3, 4), (3, 6), (4, 4), (2, 8), (4, 5)])
+def test_basic_powers_match_full_series_powers_on_p(r, c):
+    # the powers of N = B - 1, one left product on P each, against full-series
+    # products of N cut to P
+    factors = lyndon_factors(r, c)
+    for b in graded_basis(r, c):
+        n = {w: x for w, x in _basic_series(r, c, b.word).items() if w}
+        power, expected = n, []
+        for _ in range(c // b.degree):
+            expected.append({w: x for w, x in power.items() if w in factors})
+            power = poly_mul(power, n, c)
+        assert not power
+        assert _basic_powers(r, c, b.word) == tuple(expected)
+
+
 @pytest.mark.parametrize("r, c", [(1, 4), (2, 3), (3, 4), (2, 5), (3, 6), (4, 4)])
 def test_left_mul_by_matches_left_mul_on(r, c):
-    # p may have a constant term and words that are no prefix of a word of S;
-    # t is exact on S, and out starts nonempty
+    # p may have a constant term and words outside P; t is exact on P, and out
+    # starts nonempty
     rng = random.Random(f"left-mul/{r}/{c}")
-    suffix, prefix = lyndon_suffix_splits(r, c), lyndon_prefix_splits(r, c)
-    support = sorted(suffix)
+    splits, prefix = lyndon_factor_splits(r, c), lyndon_prefix_splits(r, c)
+    support = sorted(splits)
     outside = [w for w in _random_poly(rng, r, c, 20, 1) if w not in prefix]
     for _ in range(20):
         p = _random_poly(rng, r, c, rng.choice((0, 1, 3, 10, 30)))
@@ -319,7 +323,7 @@ def test_left_mul_by_matches_left_mul_on(r, c):
             p[w] = rng.choice((-1, 3))
         t = {w: rng.randint(-3, 3) or 1 for w in rng.sample(support, rng.randint(0, len(support)))}
         out = {w: rng.randint(1, 3) for w in rng.sample(support, min(3, len(support)))}
-        assert left_mul_by(p, t, prefix, dict(out)) == left_mul_on(p, t, suffix, dict(out))
+        assert left_mul_by(p, t, prefix, dict(out)) == left_mul_on(p, t, splits, dict(out))
 
 
 def _oracle_comm(g, h):
@@ -364,7 +368,7 @@ def test_comm_does_not_use_the_oracle_commutator(monkeypatch):
 
     monkeypatch.setattr("nilstab.series.poly_group_commutator", refuse)
     monkeypatch.setattr("nilstab.series.poly_unit_inverse", refuse)
-    for cache in (_basic_series, _full_basic_powers, _basic_powers, _basic_on_support):
+    for cache in (_basic_series, _basic_powers):
         cache.cache_clear()
     for (g, h), want in zip(pairs, expected):
         fresh = [GroupElement.from_exponents(r, c, x.exponents) for x in (g, h)]
@@ -390,7 +394,7 @@ def _fresh_embed(g):
 
 @pytest.mark.parametrize("r, c", [(2, 5), (4, 4), (3, 6)])
 def test_group_operations_build_no_full_series(r, c, monkeypatch):
-    # mul, inv and comm multiply basic powers on S(r, c) and peel there: once the
+    # mul, inv and comm multiply basic powers on P(r, c) and peel there: once the
     # basic caches are warm they neither embed an operand nor take a full unit product
     rng = random.Random(f"on-support/{r}/{c}")
     tail = [b for b in graded_basis(r, c) if 2 * b.degree > c]
@@ -551,27 +555,27 @@ def test_peel_is_sound_on_arbitrary_series():
 
 @pytest.mark.parametrize("r, c", [(3, 1), (2, 3), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6), (2, 7)])
 def test_peel_on_support_matches_the_full_peel(r, c):
-    # the series of dense elements, read on S(r, c) only, give the same exponents
+    # the series of dense elements, read on P(r, c) only, give the same exponents
     rng = random.Random(f"support-peel/{r}/{c}")
-    splits = lyndon_suffix_splits(r, c)
+    factors = lyndon_factors(r, c)
     for _ in range(8):
         g = mul(random_group_element(rng, r, c), random_group_element(rng, r, c, support=12))
         full = magnus_embed(GroupElement.from_exponents(r, c, g.exponents)).coefficients
-        on_support = {w: x for w, x in full.items() if w in splits}
+        on_support = {w: x for w, x in full.items() if w in factors}
         peeled = magnus_peel(TruncatedSeries(r, c, full))
         assert _peel(r, c, on_support) == peeled.exponents == g.exponents
 
 
 def test_peel_on_support_rejects_a_perturbed_non_lyndon_word():
-    # the Lyndon coefficients still give exponents, but the residual on S is not 1
+    # the Lyndon coefficients still give exponents, but the residual on P is not 1
     rng = random.Random(66)
     for r, c in [(2, 4), (3, 4), (2, 6), (4, 3)]:
-        splits = lyndon_suffix_splits(r, c)
-        non_lyndon = [w for w in splits if w and not is_lyndon(w)]
+        factors = lyndon_factors(r, c)
+        non_lyndon = [w for w in factors if w and not is_lyndon(w)]
         assert non_lyndon
         for _ in range(20):
             full = magnus_embed(random_group_element(rng, r, c)).coefficients
-            series = {w: x for w, x in full.items() if w in splits}
+            series = {w: x for w, x in full.items() if w in factors}
             word = rng.choice(non_lyndon)
             series[word] = series.get(word, 0) + rng.choice((-2, -1, 1, 2))
             series = {w: x for w, x in series.items() if x}

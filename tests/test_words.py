@@ -12,22 +12,11 @@ from nilstab.words import (
     lyndon_factor_splits,
     lyndon_factors,
     lyndon_prefix_splits,
-    lyndon_suffixes,
     lyndon_words,
     mobius,
     standard_factorization,
     witt_rank,
 )
-
-
-def lyndon_suffix_splits(r, c):
-    """S(r, c) as a table: each v in S maps to the pairs (u, uv) with u
-    nonempty and uv in S, the table series.left_mul_on walks."""
-    splits = {v: [] for v in lyndon_suffixes(r, c)}
-    for x in splits:
-        for k in range(1, len(x) + 1):
-            splits[x[k:]].append((x[:k], x))
-    return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
 def mobius_oracle(n):
@@ -154,17 +143,20 @@ def test_basis_order_is_degree_then_lex():
     assert [b.word for b in lyndon_basis(2, 3)] == [(1, 1, 2), (1, 2, 2)]
 
 
-@pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (2, 4), (3, 4), (2, 6), (3, 5)])
+@pytest.mark.parametrize(
+    "r, c", [(1, 4), (2, 1), (2, 4), (3, 4), (2, 6), (3, 5), (4, 4), (3, 6), (2, 8), (4, 5)]
+)
 def test_lyndon_suffix_splits_against_brute_force(r, c):
-    # S: the empty word and the suffixes of Lyndon words of length <= c; each v
-    # in S lists every (u, uv) with u nonempty and uv in S
+    # P's table by the right part: each v in P lists every (u, uv) with u
+    # nonempty and uv in P; P holds every prefix and suffix of its words
     from itertools import product
 
     words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
     lyndon = [w for w in words if is_lyndon(w)]
-    support = {()} | {w[k:] for w in lyndon for k in range(len(w))}
-    splits = lyndon_suffix_splits(r, c)
+    support = {()} | {w[i:j] for w in lyndon for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    splits = lyndon_factor_splits(r, c)
     assert set(splits) == support
+    assert all(x[:k] in support and x[k:] in support for x in support for k in range(len(x)))
     for v, pairs in splits.items():
         expected = [
             (x[: len(x) - len(v)], x)
@@ -176,37 +168,23 @@ def test_lyndon_suffix_splits_against_brute_force(r, c):
 
 @pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (2, 5), (3, 4), (3, 6), (2, 8), (4, 5)])
 def test_lyndon_prefix_splits_hold_the_suffix_table_triples(r, c):
-    # the same (u, v, uv) triples, keyed by the left part u, which is never empty
-    suffix = lyndon_suffix_splits(r, c)
+    # the same (u, v, uv) triples as P's table by the right part, keyed by the
+    # left part u, which is never empty
+    suffix = lyndon_factor_splits(r, c)
     prefix = lyndon_prefix_splits(r, c)
     by_suffix = sorted((u, v, x) for v, pairs in suffix.items() for u, x in pairs)
     by_prefix = sorted((u, v, x) for u, pairs in prefix.items() for v, x in pairs)
     assert by_prefix == by_suffix
     assert all(u and pairs for u, pairs in prefix.items())
-    assert lyndon_suffixes(r, c) == frozenset(suffix)
+    assert set(prefix) == lyndon_factors(r, c) - {()}
 
 
 @pytest.mark.parametrize(
     "r, c, count", [(3, 4, 46), (4, 4, 124), (3, 5, 130), (3, 6, 340), (2, 8, 162), (4, 5, 448)]
 )
 def test_lyndon_factors_against_brute_force(r, c, count):
-    # P: the empty word and every factor of a Lyndon word of length <= c, which
-    # are the nonempty prefixes of the words of S; each v in P lists every
-    # (u, uv) with u nonempty and uv in P
+    # P: the empty word and every factor of a Lyndon word of length <= c
     lyndon = [w for n in range(1, c + 1) for w in brute_force_lyndon(r, n)]
     factors = {w[i:j] for w in lyndon for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
     assert lyndon_factors(r, c) == frozenset({()} | factors)
-    suffixes = lyndon_suffixes(r, c)
-    prefixes = {x[:k] for x in suffixes for k in range(1, len(x) + 1)}
-    assert lyndon_factors(r, c) == frozenset({()} | prefixes)
-    assert suffixes <= lyndon_factors(r, c)
     assert len(lyndon_factors(r, c)) - 1 == count
-    splits = lyndon_factor_splits(r, c)
-    assert set(splits) == lyndon_factors(r, c)
-    for v, pairs in splits.items():
-        expected = [
-            (x[: len(x) - len(v)], x)
-            for x in splits
-            if len(x) > len(v) and x[len(x) - len(v):] == v
-        ]
-        assert sorted(pairs) == sorted(expected)
