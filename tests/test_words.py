@@ -153,7 +153,7 @@ def test_lyndon_suffix_splits_against_brute_force(r, c):
 
     words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
     lyndon = [w for w in words if is_lyndon(w)]
-    support = {()} | {w[i:j] for w in lyndon for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    support = {()} | {w[i:j] for w in lyndon for j in range(len(w) + 1) for i in range(j)}
     splits = lyndon_factor_splits(r, c)
     assert set(splits) == support
     assert all(x[:k] in support and x[k:] in support for x in support for k in range(len(x)))
