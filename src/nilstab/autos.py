@@ -18,7 +18,11 @@ endomorphism's images are embedded in full and cut to P.
 The projection to class c-1, the set-theoretic lift back, and the mutually
 inverse maps between the kernel of the projection and integer matrices (one
 column of top-degree coordinates per generator) realize the automorphism
-tower step by step.
+tower step by step.  Both maps, flat and sharp, read and write exponents of
+the collected form, with no group product: a kernel automorphism sends x_i to
+x_i z_i with z_i central of degree c, so its image has exponent 1 at x_i,
+z_i's exponents at degree c, and no other.  abelianization_matrix reads the
+degree-1 exponents.
 """
 
 from __future__ import annotations
@@ -35,9 +39,7 @@ from .group import (
     _peel,
     element_from_json,
     element_to_json,
-    inv,
     magnus_embed,
-    mul,
     truncate,
 )
 from .series import poly_substitute
@@ -74,16 +76,6 @@ class Endo:
 
     def is_identity(self) -> bool:
         return self == Endo.identity(self.rank, self.class_bound)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Endo)
-            and (self.rank, self.class_bound) == (other.rank, other.class_bound)
-            and all(a == b for a, b in zip(self.images, other.images))
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.class_bound, self.images))
 
 
 def endo_from_images(images) -> Endo:
@@ -137,15 +129,9 @@ def compose(e1: Endo, e2: Endo) -> Endo:
 
 def abelianization_matrix(e: Endo):
     """Degree-1 exponents of the images; column i is the abelianized image of x_i."""
-    r = e.rank
-    cols = []
-    for img in e.images:
-        col = [0] * r
-        for b, exp in img.exponents.items():
-            if b.degree == 1:
-                col[b.word[0] - 1] = exp
-        cols.append(col)
-    return tuple(tuple(cols[i][j] for i in range(r)) for j in range(r))
+    return tuple(
+        tuple(img.exponents.get(x, 0) for img in e.images) for x in lyndon_basis(e.rank, 1)
+    )
 
 
 def is_automorphism(e: Endo) -> bool:
@@ -259,39 +245,31 @@ class HomMap:
         return self + (-other)
 
 
-def _central_from_column(rank: int, class_bound: int, column) -> GroupElement:
-    basis = lyndon_basis(rank, class_bound)
-    exps = {b: x for b, x in zip(basis, column) if x}
-    return GroupElement(rank, class_bound, exps)
-
-
 def flat(alpha: Endo) -> HomMap:
-    """Column i is alpha(x_i) * x_i^-1, read off in the top-degree Lyndon basis."""
+    """Column i is the degree-c exponents of alpha(x_i).  In the kernel every
+    exponent below degree c is that of x_i, so alpha(x_i) is x_i times the
+    central element alpha(x_i) * x_i^-1 with these exponents."""
     r, c = alpha.rank, alpha.class_bound
     if c < 2:
         raise ValueError("flat needs class >= 2")
     if project(alpha) != Endo.identity(r, c - 1):
         raise ValueError("not in kernel: projection to class c-1 is not the identity")
     basis = lyndon_basis(r, c)
-    cols = []
-    for i in range(r):
-        x_i = GroupElement.generator(r, c, i + 1)
-        k = mul(alpha.images[i], inv(x_i))
-        if any(b.degree != c for b in k.exponents):
-            raise AssertionError("not central: kernel defect has low-degree support")
-        cols.append(tuple(k.exponents.get(b, 0) for b in basis))
-    matrix = tuple(tuple(cols[i][j] for i in range(r)) for j in range(len(basis)))
+    matrix = tuple(tuple(img.exponents.get(b, 0) for img in alpha.images) for b in basis)
     return HomMap(r, c, matrix)
 
 
 def sharp(beta: HomMap) -> Endo:
-    """Generator x_i goes to (central element with coordinates column i) * x_i."""
+    """Generator x_i goes to (central element with coordinates column i) * x_i:
+    the collected form with column i's exponents at degree c plus 1 at x_i."""
     r, c = beta.rank, beta.class_of_target
+    basis = lyndon_basis(r, c)
     images = []
     for i in range(r):
-        column = tuple(beta.matrix[j][i] for j in range(len(beta.matrix)))
-        central = _central_from_column(r, c, column)
-        images.append(mul(central, GroupElement.generator(r, c, i + 1)))
+        exps = {b: row[i] for b, row in zip(basis, beta.matrix) if row[i]}
+        x_i = LyndonBasisElement((i + 1,))
+        exps[x_i] = exps.get(x_i, 0) + 1  # at class 1 the column holds x_i too
+        images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros
     return Endo(r, c, tuple(images))
 
 

@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
-            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if oracle:
             p.add_argument("--oracle", action="store_true")
         p.add_argument("--unsafe-bounds", action="store_true")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("matrix", help="matrix JSON, @file, or - for stdin")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_snf)
 
     return parser

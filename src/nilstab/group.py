@@ -116,7 +116,8 @@ class GroupElement:
     rank: int
     class_bound: int
     exponents: dict  # LyndonBasisElement -> nonzero int
-    _series: list = field(default_factory=list, compare=False)
+    # the cached Magnus series, filled by magnus_embed only
+    _series: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.rank < 1 or self.class_bound < 1:

@@ -15,9 +15,7 @@ from nilstab.autos import (
     endo_from_matrix,
     flat,
     hom_gl_action,
-    invert,
     lift,
-    lift_to_class,
     project,
     sharp,
 )

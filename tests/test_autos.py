@@ -15,7 +15,6 @@ from nilstab.autos import (
     conjugate,
     endo_from_images,
     endo_from_json,
-    endo_from_matrix,
     endo_to_json,
     flat,
     hom_gl_action,
@@ -38,14 +37,14 @@ from nilstab.group import (
 )
 from nilstab.intlinalg import identity, int_inverse, matmul, matvec
 from nilstab.modules import Hom, LieLayer, Std, eval_module
-from nilstab.series import poly_substitute
+from nilstab.series import TruncatedSeries, poly_substitute
 from nilstab.verify import (
     random_automorphism,
     random_group_element,
     random_hom_map,
     random_unimodular,
 )
-from nilstab.words import lyndon_factors, witt_rank
+from nilstab.words import lyndon_basis, lyndon_factors, witt_rank
 
 
 def gens(r, c):
@@ -142,6 +141,32 @@ def test_carried_series_are_set_by_compose_only():
         Endo(3, 4, e.images, e._on_factors)
     copy = dataclasses.replace(e, images=Endo.identity(3, 4).images)
     assert not copy._on_factors
+
+
+def test_compose_result_equals_and_hashes_like_a_fresh_endo():
+    # equality and hash are over (rank, class, images); the carried series are not compared
+    rng = random.Random(75)
+    e = compose(random_automorphism(rng, 3, 3), random_automorphism(rng, 3, 3))
+    fresh = Endo(3, 3, tuple(GroupElement.from_exponents(3, 3, g.exponents) for g in e.images))
+    assert e._on_factors and not fresh._on_factors
+    assert e == fresh and hash(e) == hash(fresh)
+    assert len({e, fresh}) == 1
+    assert e != Endo.identity(3, 3) and e != e.images
+
+
+def test_group_element_series_is_no_constructor_argument():
+    # a series passed in would stand for the element: this identity would embed as a
+    with pytest.raises(TypeError):
+        GroupElement(2, 2, {}, [TruncatedSeries(2, 2, {(): 1, (1,): 1})])
+
+
+def test_replaced_group_element_starts_without_a_series():
+    a, b = GroupElement.generator(2, 2, 1), GroupElement.generator(2, 2, 2)
+    magnus_embed(a)  # fills a's cache
+    copy = dataclasses.replace(a, exponents=b.exponents)
+    assert copy == b
+    assert magnus_embed(copy) == magnus_embed(GroupElement.generator(2, 2, 2))
+    assert apply_endo(Endo.identity(2, 2), copy) == b
 
 
 @pytest.mark.parametrize("r, c", [(2, 3), (3, 4), (4, 4), (2, 6)])
@@ -255,6 +280,78 @@ def test_lift_is_section():
             assert project(lift(phi)) == phi
     with pytest.raises(ValueError):
         lift(endo_from_images([parse_element("a^2", 2, 1), parse_element("b", 2, 1)]))
+
+
+# the group-arithmetic definitions that flat, sharp and abelianization_matrix
+# read off the collected form: alpha(x_i) * x_i^-1, (central element) * x_i,
+# and each image's degree-1 exponents by letter
+
+
+def flat_by_products(alpha):
+    r, c = alpha.rank, alpha.class_bound
+    basis = lyndon_basis(r, c)
+    cols = []
+    for i in range(r):
+        k = mul(alpha.images[i], inv(GroupElement.generator(r, c, i + 1)))
+        assert all(b.degree == c for b in k.exponents)  # central
+        cols.append(tuple(k.exponents.get(b, 0) for b in basis))
+    return HomMap(r, c, tuple(tuple(cols[i][j] for i in range(r)) for j in range(len(basis))))
+
+
+def sharp_by_products(beta):
+    r, c = beta.rank, beta.class_of_target
+    basis = lyndon_basis(r, c)
+    images = []
+    for i in range(r):
+        central = GroupElement(r, c, {b: row[i] for b, row in zip(basis, beta.matrix) if row[i]})
+        images.append(mul(central, GroupElement.generator(r, c, i + 1)))
+    return Endo(r, c, tuple(images))
+
+
+def abelianization_by_scan(e):
+    r = e.rank
+    cols = []
+    for img in e.images:
+        col = [0] * r
+        for b, exp in img.exponents.items():
+            if b.degree == 1:
+                col[b.word[0] - 1] = exp
+        cols.append(col)
+    return tuple(tuple(cols[i][j] for i in range(r)) for j in range(r))
+
+
+@pytest.mark.parametrize(
+    "r, c", [(2, 2), (3, 3), (3, 4), (4, 4), (2, 6), (1, 1), (1, 3), (2, 1), (3, 1)]
+)
+def test_coordinate_maps_match_their_group_arithmetic(r, c):
+    rng = random.Random(f"coordinates/{r}/{c}")
+    rows = witt_rank(r, c)
+    # at class 1 column i holds x_i itself, and -1 there cancels it
+    minus_one = tuple(tuple(-(i == j) for i in range(r)) for j in range(rows))
+    betas = [random_hom_map(rng, r, c) for _ in range(4)] + [HomMap(r, c, minus_one)]
+    for beta in betas:
+        alpha = sharp(beta)
+        assert alpha == sharp_by_products(beta)
+        assert all(0 not in img.exponents.values() for img in alpha.images)
+        assert abelianization_matrix(alpha) == abelianization_by_scan(alpha)
+    if c == 1:
+        with pytest.raises(ValueError):
+            flat(Endo.identity(r, c))
+    else:
+        kernel = [compose(sharp(betas[0]), sharp(betas[1])), sharp(betas[2])]
+        for _ in range(2):  # collected words written directly, not through sharp
+            images = []
+            for i in range(1, r + 1):
+                exps = {b.word: rng.randint(-2, 2) for b in lyndon_basis(r, c)}
+                images.append(GroupElement.from_exponents(r, c, {(i,): 1, **exps}))
+            kernel.append(endo_from_images(images))
+        for alpha in kernel:
+            assert flat(alpha) == flat_by_products(alpha)
+    for e in [random_automorphism(rng, r, c) for _ in range(3)] + [Endo.identity(r, c)]:
+        assert abelianization_matrix(e) == abelianization_by_scan(e)
+        if c >= 2 and project(e) != Endo.identity(r, c - 1):
+            with pytest.raises(ValueError):
+                flat(e)
 
 
 def test_flat_examples():
@@ -386,8 +483,6 @@ def test_kernel_of_project_is_image_of_sharp():
     # build kernel elements directly from collected words, not through sharp
     rng = random.Random(44)
     for r, c in [(2, 2), (2, 3), (3, 2), (3, 4)]:
-        from nilstab.words import lyndon_basis
-
         top = lyndon_basis(r, c)
         for _ in range(8):
             images = []

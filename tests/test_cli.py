@@ -92,6 +92,25 @@ def test_element_json_format(capsys):
     assert json.loads(out) == {"class": 2, "exponents": [["ab", 1]], "rank": 2}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "-r", "2", "-c", "2", "b", "a"],
+        ["inv", "-r", "2", "-c", "2", "a"],
+        ["comm", "-r", "2", "-c", "2", "a", "b"],
+        ["snf", "[[2, 0], [0, 3]]"],
+    ],
+)
+def test_csv_is_refused_where_it_has_no_layout(capsys, argv):
+    # only witt, lyndon and scan write csv; elsewhere it is a bad choice, not text
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "invalid choice: 'csv'" in out.err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "mul", "-r", "2", "-c", "2", "a *", "b")
     assert code == 2

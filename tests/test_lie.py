@@ -17,7 +17,6 @@ from nilstab.series import add_scaled, poly_mul, poly_sub
 from nilstab.verify import random_lie_element, random_unimodular
 from nilstab.words import (
     LyndonBasisElement,
-    graded_basis,
     is_lyndon,
     lyndon_basis,
     lyndon_words,

@@ -1,7 +1,5 @@
 """Generator sets, coinvariants, and the degree-0 stability scans."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +18,11 @@ from nilstab.modules import (
     Const,
     DualStd,
     Hom,
-    LieLayer,
     Ext,
     Std,
     Tensor,
     eval_module,
     _block_embed,
-    kernel_homology_module,
     restrict_action,
 )
 from nilstab.stability import (

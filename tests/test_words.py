@@ -4,7 +4,6 @@ import pytest
 
 from nilstab.words import (
     LyndonBasisElement,
-    bracketing,
     divisors,
     graded_basis,
     is_lyndon,
