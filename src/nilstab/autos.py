@@ -63,6 +63,8 @@ class Endo:
     _on_factors: tuple = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
+        if self.rank < 1 or self.class_bound < 1:
+            raise ValueError("need rank >= 1 and class >= 1")
         if len(self.images) != self.rank:
             raise ValueError("need exactly one image per generator")
         for g in self.images:

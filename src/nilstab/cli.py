@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import intlinalg, verify
 from .autos import endo_from_json, endo_to_json, is_automorphism, lift_to_class, project
 from .group import comm as group_comm
-from .group import element_to_json, element_to_text, inv as group_inv
+from .group import _word_to_text, element_to_json, element_to_text, inv as group_inv
 from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
 from .lie import LieSpanError
 from .modules import LieLayer, ModuleSpec, module_rank, parse_module_spec
@@ -37,33 +36,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class CommandConfig:
-    """Validated bounds shared by the subcommands."""
-
-    rank: int = 1
-    class_bound: int = 1
-    unsafe_bounds: bool = False
-    max_class: int = DEFAULT_MAX_CLASS
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise UsageError("rank must be >= 1")
-        if self.class_bound < 1:
-            raise UsageError("class must be >= 1")
-        if not self.unsafe_bounds:
-            if self.rank > DEFAULT_MAX_RANK:
-                raise UsageError(
-                    f"rank {self.rank} exceeds the bound {DEFAULT_MAX_RANK}; "
-                    "use --unsafe-bounds to override"
-                )
-            if self.class_bound > self.max_class:
-                raise UsageError(
-                    f"class {self.class_bound} exceeds the bound {self.max_class}; "
-                    "use --unsafe-bounds or NILSTAB_MAX_CLASS to override"
-                )
-
-
 def _max_class_from_env() -> int:
     raw = os.environ.get("NILSTAB_MAX_CLASS")
     if raw is None:
@@ -77,13 +49,30 @@ def _max_class_from_env() -> int:
     return value
 
 
-def _config(args, need_class: bool = True) -> CommandConfig:
-    return CommandConfig(
-        rank=args.rank,
-        class_bound=args.class_bound if need_class else 1,
-        unsafe_bounds=getattr(args, "unsafe_bounds", False),
-        max_class=_max_class_from_env(),
-    )
+def _bounds(args, rank: int, class_bound: int = 1) -> int:
+    """Check a rank and class against their bounds; return the class bound in force.
+
+    Both must be >= 1.  Unless --unsafe-bounds is given, the rank is at most
+    DEFAULT_MAX_RANK and the class at most the bound in force, NILSTAB_MAX_CLASS
+    or DEFAULT_MAX_CLASS.
+    """
+    max_class = _max_class_from_env()
+    if rank < 1:
+        raise UsageError("rank must be >= 1")
+    if class_bound < 1:
+        raise UsageError("class must be >= 1")
+    if not args.unsafe_bounds:
+        if rank > DEFAULT_MAX_RANK:
+            raise UsageError(
+                f"rank {rank} exceeds the bound {DEFAULT_MAX_RANK}; "
+                "use --unsafe-bounds to override"
+            )
+        if class_bound > max_class:
+            raise UsageError(
+                f"class {class_bound} exceeds the bound {max_class}; "
+                "use --unsafe-bounds or NILSTAB_MAX_CLASS to override"
+            )
+    return max_class
 
 
 def _parse_range(text: str) -> range:
@@ -119,14 +108,11 @@ def _read_json_arg(text: str) -> dict:
 
 
 def cmd_witt(args) -> int:
-    if args.rank < 1 or args.degree < 1:
-        raise UsageError("witt needs -r >= 1 and -n >= 1")
-    if not args.unsafe_bounds:
-        limit = max(DEFAULT_MAX_RANK, _max_class_from_env())
-        if args.rank > DEFAULT_MAX_RANK or args.degree > limit:
-            raise UsageError(
-                "witt bounds exceeded; use --unsafe-bounds to enumerate further"
-            )
+    limit = max(DEFAULT_MAX_CLASS, _bounds(args, args.rank))
+    if args.degree < 1:
+        raise UsageError("witt needs -n >= 1")
+    if args.degree > limit and not args.unsafe_bounds:
+        raise UsageError("witt degree exceeds the bound; use --unsafe-bounds")
     rows = []
     for r in range(1, args.rank + 1):
         for n in range(1, args.degree + 1):
@@ -149,14 +135,12 @@ def cmd_witt(args) -> int:
 
 
 def cmd_lyndon(args) -> int:
-    _config(args, need_class=False)
+    limit = _bounds(args, args.rank)
     if args.degree < 1:
         raise UsageError("lyndon needs -n >= 1")
-    if args.degree > _max_class_from_env() and not args.unsafe_bounds:
+    if args.degree > limit and not args.unsafe_bounds:
         raise UsageError("lyndon degree exceeds the bound; use --unsafe-bounds")
-    words = lyndon_words(args.rank, args.degree)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    texts = ["".join(letters[x - 1] for x in w) for w in words]
+    texts = [_word_to_text(w) for w in lyndon_words(args.rank, args.degree)]
     if args.format == "csv":
         print("r,n,word")
         for t in texts:
@@ -171,8 +155,8 @@ def cmd_lyndon(args) -> int:
 
 def _element_command(args, operation, series_operation) -> int:
     """Run a group operation; under --oracle, recheck it against the series one."""
-    cfg = _config(args)
-    r, c = cfg.rank, cfg.class_bound
+    r, c = args.rank, args.class_bound
+    _bounds(args, r, c)
     operands = [parse_element(text, r, c) for text in args.elements]
     result = operation(*operands)
     if args.oracle:
@@ -203,8 +187,8 @@ def cmd_comm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    results = verify.run_suite(cfg.rank, cfg.class_bound, args.seed)
+    _bounds(args, args.rank, args.class_bound)
+    results = verify.run_suite(args.rank, args.class_bound, args.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -223,6 +207,8 @@ def cmd_aut_lift(args) -> int:
             raise UsageError("--images needs -r and -c for the source endomorphism")
         if len(args.images) != args.rank:
             raise UsageError("need exactly one image per generator")
+        # parsing collects each image, so the source bounds come first
+        _bounds(args, args.rank, args.class_bound)
         from .autos import endo_from_images
 
         endo = endo_from_images(
@@ -238,12 +224,7 @@ def cmd_aut_lift(args) -> int:
     target = args.to_class if args.to_class is not None else endo.class_bound + 1
     if target < endo.class_bound:
         raise UsageError("target class is below the input class")
-    CommandConfig(
-        rank=endo.rank,
-        class_bound=target,
-        unsafe_bounds=args.unsafe_bounds,
-        max_class=_max_class_from_env(),
-    )
+    _bounds(args, endo.rank, target)
     lifted = lift_to_class(endo, target)
     check = lifted
     while check.class_bound > endo.class_bound:
@@ -255,16 +236,16 @@ def cmd_aut_lift(args) -> int:
 
 
 def cmd_kernel_iso(args) -> int:
-    cfg = _config(args)
-    if cfg.class_bound < 2:
+    _bounds(args, args.rank, args.class_bound)
+    if args.class_bound < 2:
         raise UsageError("kernel-iso needs -c >= 2")
     if args.trials < 1:
         raise UsageError("kernel-iso needs --trials >= 1")
     import random as random_module
 
     rng = random_module.Random(args.seed)
-    res = check_aut_extension(cfg.rank, cfg.class_bound, rng, trials=args.trials)
-    res2 = check_action_remark(cfg.rank, cfg.class_bound, rng)
+    res = check_aut_extension(args.rank, args.class_bound, rng, trials=args.trials)
+    res2 = check_action_remark(args.rank, args.class_bound, rng)
     ok = res.passed and res2.passed
     for r in (res, res2):
         status = "PASS" if r.passed else "FAIL"
@@ -286,23 +267,18 @@ def cmd_scan(args) -> int:
     except ValueError as err:
         raise UsageError(f"bad module spec: {err}") from None
     ranks = _parse_range(args.range)
-    cfg = CommandConfig(
-        rank=ranks[-1],
-        class_bound=args.class_bound,
-        unsafe_bounds=args.unsafe_bounds,
-        max_class=_max_class_from_env(),
-    )
+    max_class = _bounds(args, ranks[-1], args.class_bound)
     if not args.unsafe_bounds:
         parts = list(_subspecs(spec))
-        if max((p.degree for p in parts if isinstance(p, LieLayer)), default=0) > cfg.max_class:
+        if max((p.degree for p in parts if isinstance(p, LieLayer)), default=0) > max_class:
             raise UsageError("lie degree exceeds the class bound; use --unsafe-bounds")
         # every part's basis and action is built, and ranks never fall with r;
         # reversed, each part comes after the parts inside it, so no closed
         # form takes comb of an unbounded inner rank
         for part in reversed(parts):
-            if module_rank(part, cfg.rank) > DEFAULT_MAX_MODULE_RANK:
+            if module_rank(part, ranks[-1]) > DEFAULT_MAX_MODULE_RANK:
                 raise UsageError(
-                    f"module rank of {part} at r={cfg.rank} exceeds the bound "
+                    f"module rank of {part} at r={ranks[-1]} exceeds the bound "
                     f"{DEFAULT_MAX_MODULE_RANK}; use --unsafe-bounds"
                 )
     report = stability_scan(spec, args.class_bound, ranks)
@@ -356,11 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rank=True, klass=True, seed=False, fmt=True, oracle=False):
-        if rank:
-            p.add_argument("-r", "--rank", type=int, default=2)
-        if klass:
-            p.add_argument("-c", "--class", dest="class_bound", type=int, default=2)
+    def add_common(p, seed=False, fmt=True, oracle=False):
+        p.add_argument("-r", "--rank", type=int, default=2)
+        p.add_argument("-c", "--class", dest="class_bound", type=int, default=2)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:

@@ -111,13 +111,13 @@ def _basic_power(r: int, c: int, word: tuple, e: int) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class GroupElement:
     rank: int
     class_bound: int
     exponents: dict  # LyndonBasisElement -> nonzero int
     # the cached Magnus series, filled by magnus_embed only
-    _series: list = field(default_factory=list, init=False)
+    _series: list = field(default_factory=list, init=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1 or self.class_bound < 1:
@@ -158,13 +158,6 @@ class GroupElement:
     def _check(self, other: "GroupElement"):
         if (self.rank, self.class_bound) != (other.rank, other.class_bound):
             raise ValueError("rank/class mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and (self.rank, self.class_bound) == (other.rank, other.class_bound)
-            and self.exponents == other.exponents
-        )
 
     def __hash__(self) -> int:
         items = tuple(sorted((b.word, e) for b, e in self.exponents.items()))
@@ -393,11 +386,24 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _word_to_text(word: tuple) -> str:
+    if max(word) > len(_LETTERS):
+        raise ValueError("text encoding supports rank <= 26")
     return "".join(_LETTERS[x - 1] for x in word)
 
 
-def _text_to_word(text: str) -> tuple:
-    return tuple(_LETTERS.index(ch) + 1 for ch in text)
+def _parse_word(text: str, rank: int, class_bound: int) -> LyndonBasisElement:
+    """The basis element written as text, checked against the rank and class bound."""
+    if not text or any(ch not in _LETTERS for ch in text):
+        raise ValueError(f"bad word {text!r}")
+    word = tuple(_LETTERS.index(ch) + 1 for ch in text)
+    if any(x > rank for x in word):
+        raise ValueError(f"letter out of range for rank {rank} in {text!r}")
+    if len(word) > class_bound:
+        raise ValueError(f"word {text!r} is longer than the class bound")
+    try:
+        return LyndonBasisElement(word)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a Lyndon word") from None
 
 
 def element_to_text(g: GroupElement) -> str:
@@ -413,11 +419,16 @@ def element_to_text(g: GroupElement) -> str:
 
 
 def parse_element(text: str, rank: int, class_bound: int) -> GroupElement:
-    """Parse the element syntax; whitespace-insensitive, '1' is the identity."""
+    """The product of the written factors, in the order written, in collected form.
+
+    Whitespace-insensitive; '1' is the identity.  Collected input reads as
+    written, and out-of-order or repeated factors give their product:
+    'b * a' is a * b * [ab]^-1.
+    """
     compact = "".join(text.split())
     if compact in ("", "1"):
         return GroupElement.identity(rank, class_bound)
-    exps: dict = {}
+    factors = []
     for token in compact.split("*"):
         if not token:
             raise ValueError("empty factor in element expression")
@@ -431,19 +442,9 @@ def parse_element(text: str, rank: int, class_bound: int) -> GroupElement:
             atom, e = token, 1
         if atom.startswith("[") and atom.endswith("]"):
             atom = atom[1:-1]
-        if not atom or any(ch not in _LETTERS for ch in atom):
-            raise ValueError(f"bad word {atom!r}")
-        word = _text_to_word(atom)
-        if any(x > rank for x in word):
-            raise ValueError(f"letter out of range for rank {rank} in {atom!r}")
-        if len(word) > class_bound:
-            raise ValueError(f"word {atom!r} is longer than the class bound")
-        try:
-            b = LyndonBasisElement(word)
-        except ValueError:
-            raise ValueError(f"{atom!r} is not a Lyndon word") from None
-        exps[b] = exps.get(b, 0) + e
-    return GroupElement.from_exponents(rank, class_bound, exps)
+        b = _parse_word(atom, rank, class_bound)
+        factors.append((b.word, e))
+    return _collected(rank, class_bound, factors)
 
 
 def element_to_json(g: GroupElement) -> dict:
@@ -478,5 +479,8 @@ def element_from_json(obj: dict) -> GroupElement:
             and type(entry[1]) is int
         ):
             raise ValueError(f"exponent entry {entry!r} is not a [word, integer] pair")
-        exps[LyndonBasisElement(_text_to_word(entry[0]))] = entry[1]
+        b = _parse_word(entry[0], rank, class_bound)
+        if b in exps:
+            raise ValueError(f"word {entry[0]!r} appears twice in the exponents")
+        exps[b] = entry[1]
     return GroupElement.from_exponents(rank, class_bound, exps)

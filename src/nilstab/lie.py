@@ -156,13 +156,6 @@ class LieElement:
         """Coefficient vector with respect to an ordered basis of LyndonBasisElements."""
         return tuple(self.terms.get(b, 0) for b in basis)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieElement)
-            and (self.rank, self.class_bound) == (other.rank, other.class_bound)
-            and self.terms == other.terms
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return "LieElement(0)"

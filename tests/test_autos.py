@@ -479,6 +479,12 @@ def test_bad_images_rejected():
         Endo(2, 2, tuple(gens(3, 2)))
 
 
+def test_endo_refuses_rank_or_class_below_one():
+    for rank, klass, images in [(0, 1, ()), (1, 0, ()), (-1, 2, ())]:
+        with pytest.raises(ValueError, match=r"need rank >= 1 and class >= 1"):
+            Endo(rank, klass, images)
+
+
 def test_kernel_of_project_is_image_of_sharp():
     # build kernel elements directly from collected words, not through sharp
     rng = random.Random(44)

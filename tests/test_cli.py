@@ -57,6 +57,10 @@ def test_mul_heisenberg(capsys):
     code, out, _ = run(capsys, "mul", "-r", "2", "-c", "2", "b", "a")
     assert code == 0
     assert out.strip() == "a * b * [ab]^-1"
+    # factors multiply in the order written
+    code, out, _ = run(capsys, "mul", "-r", "2", "-c", "2", "b * a", "1")
+    assert code == 0
+    assert out.strip() == "a * b * [ab]^-1"
 
 
 def test_mul_with_oracle(capsys):
@@ -389,6 +393,13 @@ def test_aut_lift_rejects_malformed_json(capsys, endo):
     assert _usage_error(run(capsys, "aut-lift", endo))
 
 
+def test_aut_lift_refuses_a_repeated_json_word(capsys):
+    # JSON exponents are a collected form, not a product: a word may appear once
+    image = '{"rank": 1, "class": 2, "exponents": [["a", 1], ["a", -2]]}'
+    result = run(capsys, "aut-lift", '{"rank": 1, "class": 2, "images": [' + image + "]}")
+    assert _usage_error(result) and "word 'a' appears twice in the exponents" in result[2]
+
+
 @pytest.mark.parametrize("value", ["-3", "0"])
 def test_max_class_env_below_one(capsys, monkeypatch, value):
     monkeypatch.setenv("NILSTAB_MAX_CLASS", value)
@@ -624,6 +635,8 @@ def _run_main(argv, stdin_text):
 @example(argv=["scan", "--spec", "std", "-c", "1", "-r", "1..1000000000"], stdin_text="", max_class=None)
 @example(argv=["scan", "--spec", "std", "-c", "1", "-r", f"1..{_HUGE}"], stdin_text="", max_class=None)
 @example(argv=["verify", "-r", "1", "-c", "2"], stdin_text="", max_class=None)
+@example(argv=["lyndon", "-r", "27", "-n", "1", "--unsafe-bounds"], stdin_text="", max_class=None)
+@example(argv=["aut-lift", "--images", "a", "-r", "1", "-c", _HUGE], stdin_text="", max_class=None)
 def test_fuzzed_argv_exits_cleanly(argv, stdin_text, max_class):
     saved = os.environ.pop("NILSTAB_MAX_CLASS", None)
     if max_class is not None:

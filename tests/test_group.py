@@ -510,6 +510,37 @@ def test_text_codec():
             assert parse_element(element_to_text(g), r, c) == g
 
 
+@pytest.mark.parametrize("r, c", [(2, 2), (3, 4), (3, 6), (4, 4)])
+def test_parse_element_is_the_product_of_its_factors(r, c):
+    # shuffled factors, repeats and zero exponents: the parse is the left-to-right
+    # product of the factors, each parsed alone
+    rng = random.Random(f"parse-product/{r}/{c}")
+    cases = [["b", "a"]] if (r, c) == (2, 2) else []
+    for _ in range(6):
+        factors = element_to_text(random_group_element(rng, r, c, support=6)).split(" * ")
+        factors += rng.sample(factors, min(2, len(factors)))
+        factors.append(f"{rng.choice(factors).partition('^')[0]}^0")
+        rng.shuffle(factors)
+        cases.append(factors)
+    for factors in cases:
+        product = GroupElement.identity(r, c)
+        for factor in factors:
+            product = mul(product, parse_element(factor, r, c))
+        assert parse_element(" * ".join(factors), r, c) == product
+    assert parse_element("b * a", 2, 2) == heisenberg(1, 1, -1)
+
+
+def test_embedded_element_equals_and_hashes_like_a_fresh_copy():
+    # equality and hash are over (rank, class, exponents); the cached series is not compared
+    g = random_group_element(random.Random(76), 3, 3)
+    magnus_embed(g)
+    fresh = GroupElement.from_exponents(3, 3, g.exponents)
+    assert g._series and not fresh._series
+    assert g == fresh and hash(g) == hash(fresh)
+    assert len({g, fresh}) == 1
+    assert g != GroupElement.identity(3, 3) and g != g.exponents
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_element("a * * b", 2, 2)
@@ -629,3 +660,19 @@ def test_json_codec():
         assert element_from_json(element_to_json(g)) == g
     obj = element_to_json(heisenberg(2, 0, -3))
     assert obj == {"rank": 2, "class": 2, "exponents": [["a", 2], ["ab", -3]]}
+
+
+@pytest.mark.parametrize(
+    "rank, klass, word, message",
+    [
+        (1, 1, "A", "bad word 'A'"),
+        (1, 1, "b", "letter out of range for rank 1 in 'b'"),
+        (2, 1, "ab", "word 'ab' is longer than the class bound"),
+        (2, 2, "ba", "'ba' is not a Lyndon word"),
+    ],
+)
+def test_json_words_are_read_like_element_text(rank, klass, word, message):
+    obj = {"rank": rank, "class": klass, "exponents": [[word, 1]]}
+    with pytest.raises(ValueError) as err:
+        element_from_json(obj)
+    assert str(err.value) == message
