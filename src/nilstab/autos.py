@@ -22,7 +22,10 @@ tower step by step.  Both maps, flat and sharp, read and write exponents of
 the collected form, with no group product: a kernel automorphism sends x_i to
 x_i z_i with z_i central of degree c, so its image has exponent 1 at x_i,
 z_i's exponents at degree c, and no other.  abelianization_matrix reads the
-degree-1 exponents.
+degree-1 exponents.  invert climbs the same tower: it inverts the
+abelianization and then, one class at a time, lifts the inverse so far and
+cancels its defect, a kernel element, with flat and sharp.  So this module
+does no group products at all.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from dataclasses import dataclass, field
 from . import intlinalg
 from .group import (
     GroupElement,
-    _collected,
-    _factors,
-    _inverse_factors,
     _json_fields,
     _peel,
     element_from_json,
@@ -152,28 +152,25 @@ def endo_from_matrix(a, rank: int, class_bound: int) -> Endo:
 
 
 def invert(e: Endo) -> Endo:
-    """Two-sided inverse; starts from the abelianized inverse and corrects upward."""
+    """Two-sided inverse, climbed up the tower one class at a time.
+
+    f inverts e's class-(k-1) quotient e_(k-1), so e_k lift(f) projects to the
+    identity: it is the kernel element sharp(beta), and f sharp(-beta) inverts
+    e_k.  A left inverse of an automorphism is two-sided (f.g. nilpotent
+    groups are Hopfian), so one compose(f, e) certifies the result.
+    """
     if not is_automorphism(e):
         raise ValueError("not invertible: abelianization determinant is not +-1")
-    r, c = e.rank, e.class_bound
+    quotients = [e]
+    while quotients[-1].class_bound > 1:
+        quotients.append(project(quotients[-1]))
     a_inv = intlinalg.int_inverse(abelianization_matrix(e))
-    f = endo_from_matrix(a_inv, r, c)
-    h = compose(e, f)  # abelianization is now the identity
-    identity = Endo.identity(r, c)
-    for _ in range(c):
-        if h == identity:
-            break
-        correction = []
-        for i in range(r):
-            # x_i d^-1 = x_i h(x_i)^-1 x_i, one product, where the defect
-            # d = x_i^-1 h(x_i) lies deeper each pass
-            x_i = _factors(GroupElement.generator(r, c, i + 1))
-            correction.append(_collected(r, c, x_i + _inverse_factors(h.images[i]) + x_i))
-        u = Endo(r, c, tuple(correction))
-        f = compose(f, u)
-        h = compose(h, u)
-    if h != identity or compose(f, e) != identity:
-        raise AssertionError("inverse correction failed to terminate")
+    f = endo_from_matrix(a_inv, e.rank, 1)
+    for e_k in reversed(quotients[:-1]):
+        f = lift(f)
+        f = compose(f, sharp(-flat(compose(e_k, f))))
+    if compose(f, e) != Endo.identity(e.rank, e.class_bound):
+        raise AssertionError("climbed inverse is not a left inverse")
     return f
 
 

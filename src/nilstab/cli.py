@@ -4,6 +4,9 @@ Subcommands: witt, lyndon, mul, inv, comm, verify, aut-lift, kernel-iso,
 scan, snf.  Exit codes: 0 on success, 1 on a failed verification or an
 unstabilized scan, 2 on usage errors (bad bounds, parse errors), 3 on a broken
 internal invariant.  Output is deterministic for a fixed configuration and seed.
+Integer results print exactly at any size; integer input is refused past
+group.MAX_INPUT_DIGITS digits, and a module spec past modules.MAX_SPEC_DEPTH
+levels of nesting.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import intlinalg, verify
 from .autos import endo_from_json, endo_to_json, is_automorphism, lift_to_class, project
 from .group import comm as group_comm
 from .group import _word_to_text, element_to_json, element_to_text, inv as group_inv
-from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element
+from .group import NotAGroupElement, magnus_embed, mul as group_mul, parse_element, read_int
 from .lie import LieSpanError
 from .modules import LieLayer, ModuleSpec, module_rank, parse_module_spec
 from .series import poly_group_commutator, poly_mul, poly_unit_inverse
@@ -40,10 +43,9 @@ def _max_class_from_env() -> int:
     raw = os.environ.get("NILSTAB_MAX_CLASS")
     if raw is None:
         return DEFAULT_MAX_CLASS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"NILSTAB_MAX_CLASS must be an integer, got {raw!r}") from None
+    value = read_int(raw)
+    if value is None:
+        raise UsageError(f"NILSTAB_MAX_CLASS must be an integer, got {raw!r}")
     if value < 1:
         raise UsageError(f"NILSTAB_MAX_CLASS must be >= 1, got {raw!r}")
     return value
@@ -77,11 +79,10 @@ def _bounds(args, rank: int, class_bound: int = 1) -> int:
 
 def _parse_range(text: str) -> range:
     lo_text, sep, hi_text = text.partition("..")
-    try:
-        lo = int(lo_text)
-        hi = int(hi_text) if sep else lo
-    except ValueError:
-        raise UsageError(f"bad rank range {text!r}") from None
+    lo = read_int(lo_text)
+    hi = read_int(hi_text) if sep else lo
+    if lo is None or hi is None:
+        raise UsageError(f"bad rank range {text!r}")
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
     # a range, not a list: the rank bound is checked on its end before any use
@@ -94,14 +95,17 @@ def _emit_json(obj) -> str:
 
 def _read_json_arg(text: str) -> dict:
     if text == "-":
-        return json.loads(sys.stdin.read())
-    if text.startswith("@"):
+        text = sys.stdin.read()
+    elif text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {text[1:]}: {exc.strerror or exc}") from None
-    return json.loads(text)
+    try:
+        return json.loads(text, parse_int=read_int)
+    except RecursionError:
+        raise UsageError("JSON input is nested too deeply") from None
 
 
 # --- subcommand bodies ----------------------------------------------------
@@ -410,6 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # results of any size print; integer input is bounded by read_int
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (AssertionError, NotAGroupElement, LieSpanError) as err:
@@ -421,6 +429,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -384,6 +384,23 @@ def h2_rank(r: int, c: int) -> int:
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# Longest integer, in decimal digits, that text input may write.  The CLI lifts
+# Python's own limit on int <-> str conversion (4300 digits by default since
+# 3.11 and 3.10.7) so that exact results of any size print, and bounds input
+# here instead.
+MAX_INPUT_DIGITS = 4300
+
+
+def read_int(text: str):
+    """The integer text writes, or None if it writes none; a ValueError if it
+    has more than MAX_INPUT_DIGITS digits."""
+    if sum(map(str.isdigit, text)) > MAX_INPUT_DIGITS:
+        raise ValueError(f"integer input has more than {MAX_INPUT_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
 
 def _word_to_text(word: tuple) -> str:
     if max(word) > len(_LETTERS):
@@ -434,10 +451,9 @@ def parse_element(text: str, rank: int, class_bound: int) -> GroupElement:
             raise ValueError("empty factor in element expression")
         if "^" in token:
             atom, _, power = token.partition("^")
-            try:
-                e = int(power)
-            except ValueError:
-                raise ValueError(f"bad exponent in {token!r}") from None
+            e = read_int(power)
+            if e is None:
+                raise ValueError(f"bad exponent in {token!r}")
         else:
             atom, e = token, 1
         if atom.startswith("[") and atom.endswith("]"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 Matrix = tuple  # tuple of row tuples of int
@@ -348,6 +349,30 @@ def _add_multiple(c: dict, q: int, p: dict) -> None:
             c.pop(i, None)
 
 
+def _store_pivot(pivots: dict, row: int, c: dict) -> None:
+    """Store c as the pivot column at row, after reducing each entry below the
+    pivot, top row first, to its centered remainder by the pivot stored at
+    that row.  Unreduced, the entries of stored columns grow without bound."""
+    rows = [i for i in c if i != row and i in pivots]
+    heapify(rows)
+    queued = set(rows)
+    while rows:
+        i = heappop(rows)
+        x = c.get(i)
+        if x is None:
+            continue
+        p = pivots[i]
+        a = abs(p[i])
+        q = (2 * x + a) // (2 * a)  # the integer nearest x / a
+        if q:
+            _add_multiple(c, -q if p[i] > 0 else q, p)
+            for j in p:
+                if j not in queued and j in pivots:
+                    queued.add(j)
+                    heappush(rows, j)
+    pivots[row] = c
+
+
 def _reduce_column(pivots: dict, c: dict) -> None:
     """Fold one column (row -> nonzero value) into an echelon pivot table,
     preserving the lattice.  Rows are visited top down; each step clears the
@@ -356,7 +381,7 @@ def _reduce_column(pivots: dict, c: dict) -> None:
         row = min(c)
         p = pivots.get(row)
         if p is None:
-            pivots[row] = c
+            _store_pivot(pivots, row, c)
             return
         a, b = p[row], c[row]
         if b % a == 0:
@@ -367,7 +392,7 @@ def _reduce_column(pivots: dict, c: dict) -> None:
             _add_multiple(new_p, y, c)
             c = {i: (a // g) * v for i, v in c.items()}
             _add_multiple(c, -(b // g), p)
-            pivots[row] = new_p
+            _store_pivot(pivots, row, new_p)
 
 
 def lattice_basis(cols, dim: int) -> list:

@@ -26,6 +26,7 @@ from itertools import combinations
 from math import comb
 
 from . import intlinalg
+from .group import read_int
 from .intlinalg import Matrix, int_inverse, sparse_columns, sparse_compound, sparse_kron
 from .intlinalg import sparse_transpose, transpose
 from .lie import lie_layer_matrix
@@ -307,6 +308,13 @@ def based_module_to_json(mod: BasedModule, matrices=()) -> dict:
 
 _TOKEN = re.compile(r"\(x\)|[a-z]+|\d+|Z|[\^(),]")
 
+# Deepest spec that parse_module_spec accepts, one level per constructor:
+# 'std' has depth 1 and 'tensor(std, dual)' depth 2.  The parser, str and
+# evaluation all recurse over the tree, so this stays far inside Python's
+# recursion limit.
+MAX_SPEC_DEPTH = 100
+_TOO_DEEP = f"nested more than {MAX_SPEC_DEPTH} levels deep"
+
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -341,26 +349,36 @@ class _Parser:
 
     def number(self) -> int:
         tok = self.take()
-        if not tok.isdigit():
+        value = read_int(tok) if tok.isdigit() else None
+        if value is None:
             raise ValueError(f"expected a number, found {tok!r}")
-        if int(tok) > sys.maxsize:
+        if value > sys.maxsize:
             raise ValueError(f"number {tok} is too large")
-        return int(tok)
+        return value
 
     def parse(self) -> ModuleSpec:
-        spec = self.expr()
+        spec = self.expr(1)
         if self.peek() is not None:
             raise ValueError(f"trailing tokens starting at {self.peek()!r}")
+        # a chain a (x) b (x) ... nests to the left without nesting the parser
+        level, depth = [spec], 0
+        while level:
+            depth += 1
+            level = [p for s in level for p in vars(s).values() if isinstance(p, ModuleSpec)]
+        if depth > MAX_SPEC_DEPTH:
+            raise ValueError(_TOO_DEEP)
         return spec
 
-    def expr(self) -> ModuleSpec:
-        left = self.primary()
+    def expr(self, depth: int) -> ModuleSpec:
+        if depth > MAX_SPEC_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        left = self.primary(depth)
         while self.peek() == "(x)":
             self.take("(x)")
-            left = Tensor(left, self.primary())
+            left = Tensor(left, self.primary(depth))
         return left
 
-    def primary(self) -> ModuleSpec:
+    def primary(self, depth: int) -> ModuleSpec:
         name = self.take()
         if name == "const":
             if self.peek() != "(":
@@ -379,16 +397,16 @@ class _Parser:
             return DualStd()
         if name in ("sum", "tensor", "hom"):
             self.take("(")
-            first = self.expr()
+            first = self.expr(depth + 1)
             self.take(",")
-            second = self.expr()
+            second = self.expr(depth + 1)
             self.take(")")
             return {"sum": Sum, "tensor": Tensor, "hom": Hom}[name](first, second)
         if name == "ext":
             self.take("(")
             t = self.number()
             self.take(",")
-            inner = self.expr()
+            inner = self.expr(depth + 1)
             self.take(")")
             return Ext(t, inner)
         if name == "lie":
@@ -400,5 +418,7 @@ class _Parser:
 
 
 def parse_module_spec(text: str) -> ModuleSpec:
-    """Parse the textual spec grammar, e.g. 'ext(2, hom(std, lie(3))) (x) const(Z)'."""
+    """Parse the textual spec grammar, e.g. 'ext(2, hom(std, lie(3))) (x) const(Z)'.
+
+    A spec nested more than MAX_SPEC_DEPTH levels deep is a ValueError."""
     return _Parser(_tokenize(text)).parse()

@@ -242,13 +242,75 @@ def test_invert_examples():
 
 def test_invert_random_two_sided():
     rng = random.Random(34)
-    for r, c in [(2, 2), (2, 3), (3, 3)]:
+    for r, c in [(2, 2), (2, 3), (3, 3), (1, 3), (2, 1), (4, 4), (3, 5), (2, 6)]:
         ident = Endo.identity(r, c)
         for _ in range(5):
             e = random_automorphism(rng, r, c)
             f = invert(e)
             assert compose(e, f) == ident
             assert compose(f, e) == ident
+
+
+def invert_by_correction(e):
+    """Oracle: the abelianized inverse at the top class, corrected by
+    x_i -> x_i h(x_i)^-1 x_i until h = e f is the identity."""
+    r, c = e.rank, e.class_bound
+    f = autos.endo_from_matrix(int_inverse(abelianization_matrix(e)), r, c)
+    h = compose(e, f)
+    ident = Endo.identity(r, c)
+    for _ in range(c):
+        if h == ident:
+            break
+        correction = []
+        for i in range(r):
+            x_i = GroupElement.generator(r, c, i + 1)
+            correction.append(mul(mul(x_i, inv(h.images[i])), x_i))
+        u = Endo(r, c, tuple(correction))
+        f = compose(f, u)
+        h = compose(h, u)
+    assert h == ident
+    return f
+
+
+@pytest.mark.parametrize("r,c", [(2, 3), (3, 4), (4, 4)])
+def test_invert_matches_correction_oracle(r, c):
+    rng = random.Random(f"invert-oracle-{r}-{c}")
+    for _ in range(2):
+        e = random_automorphism(rng, r, c)
+        assert invert(e) == invert_by_correction(e)
+
+
+def test_invert_composes_little_at_the_top_class(monkeypatch):
+    classes = []
+
+    def counted(e1, e2):
+        classes.append(e1.class_bound)
+        return compose(e1, e2)
+
+    monkeypatch.setattr(autos, "compose", counted)
+    e = random_automorphism(random.Random(37), 4, 4)
+    f = invert(e)
+    # the defect and its cancellation at each class, and the final check
+    assert classes.count(4) <= 3
+    assert compose(e, f) == Endo.identity(4, 4)
+
+
+@pytest.mark.parametrize("r,c", [(2, 2), (3, 4)])
+def test_invert_certifies_its_result(r, c, monkeypatch):
+    e = compose(
+        random_automorphism(random.Random(38), r, c),
+        sharp(HomMap.basis_element(r, c, 0, 0)),
+    )
+
+    def wrong_at_top(beta):
+        # the correct map below the top class, the identity at it
+        if beta.class_of_target == c:
+            return Endo.identity(r, c)
+        return sharp(beta)
+
+    monkeypatch.setattr(autos, "sharp", wrong_at_top)
+    with pytest.raises(AssertionError):
+        invert(e)
 
 
 def test_project():

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilstab.cli import main
-from nilstab.group import element_to_text, parse_element
+from nilstab.group import MAX_INPUT_DIGITS, element_to_text, parse_element
+from nilstab.modules import MAX_SPEC_DEPTH
 from nilstab.verify import random_group_element
 
 
@@ -509,6 +510,66 @@ def test_unreadable_json_file_is_a_usage_error(capsys, tmp_path, command):
     assert f"cannot read {missing}: No such file or directory" in result[2]
     result = run(capsys, command, f"@{tmp_path}")  # a directory
     assert _usage_error(result) and f"cannot read {tmp_path}: " in result[2]
+
+
+# --- nesting depth and integer size at the input boundary ---------------------
+
+
+def _nested_spec(depth):
+    return "tensor(const, " * (depth - 1) + "std" + ")" * (depth - 1)
+
+
+def test_deeply_nested_spec_is_a_usage_error(capsys):
+    scan = ["scan", "-c", "1", "-r", "1..2", "--allow-unstable", "--spec"]
+    for spec in (_nested_spec(400), _nested_spec(600), " (x) ".join(["std"] * 101)):
+        result = run(capsys, *scan, spec)
+        assert _usage_error(result)
+        assert f"nested more than {MAX_SPEC_DEPTH} levels deep" in result[2]
+    for spec in (_nested_spec(MAX_SPEC_DEPTH), " (x) ".join(["const"] * MAX_SPEC_DEPTH)):
+        code, out, _ = run(capsys, *scan, spec)
+        assert code == 0 and "r=2: H_0 = " in out
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    for source in (deep, f"@{path}", "-"):
+        result = run(capsys, "snf", source)
+        assert _usage_error(result) and "nested too deeply" in result[2]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exact_results_of_any_size_print(capsys, fmt):
+    n = "1" + "0" * 2500  # [a^n, b^n] = [ab]^(n^2), 5,001 digits
+    code, out, _ = run(capsys, "comm", "-r", "2", "-c", "2", "--format", fmt, f"a^{n}", f"b^{n}")
+    big = "1" + "0" * 5000
+    assert code == 0
+    if fmt == "json":
+        assert out == '{"class":2,"exponents":[["ab",' + big + ']],"rank":2}\n'
+    else:
+        assert out == f"[ab]^{big}\n"
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() != 0  # lifted only while main runs
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_long_integer_input_is_a_usage_error(capsys, fmt):
+    longest = "7" * MAX_INPUT_DIGITS
+    code, out, _ = run(capsys, "mul", "-r", "2", "-c", "2", "--format", fmt, f"a^{longest}", "1")
+    assert code == 0 and longest in out
+    too_long = longest + "7"
+    for argv in (
+        ["mul", "-r", "2", "-c", "2", "--format", fmt, f"a^{too_long}", "1"],
+        ["inv", "-r", "2", "-c", "2", "--format", fmt, f"[ab]^-{too_long}"],
+        ["snf", "--format", fmt, f"[[{too_long}]]"],
+        ["scan", "--spec", "std", "-c", "1", "-r", f"1..{too_long}", "--format", fmt],
+        ["scan", "--spec", f"const(Z^{too_long})", "-c", "1", "-r", "1..2", "--format", fmt],
+    ):
+        result = run(capsys, *argv)
+        assert _usage_error(result)
+        assert result[2].endswith(f": integer input has more than {MAX_INPUT_DIGITS} digits\n")
 
 
 # --- fuzzed argv: every malformed input is an exit code and a message ---------

@@ -1,8 +1,9 @@
 """Exact integer matrix layer: Smith form, lattices, determinants."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import floor, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -272,9 +273,21 @@ def test_cokernel_presentation_against_dense_snf(case):
 
 def dense_echelon(cols, dim):
     """Oracle: the echelon lattice_basis ran on dense column tuples, walking
-    every row of each column top down."""
+    every row of each column top down.  A column stored as a pivot first has
+    each entry below its pivot reduced, top down, to the centered remainder
+    by the pivot stored at that row."""
     pivots = {}
     seen = set()
+
+    def store(row, p):
+        for i in range(row + 1, dim):
+            if p[i] and i in pivots:
+                a = pivots[i][i]
+                # the remainder p[i] - q * a lies in [-|a|/2, |a|/2)
+                q = floor(Fraction(p[i], abs(a)) + Fraction(1, 2)) * (1 if a > 0 else -1)
+                p = [pi - q * qi for pi, qi in zip(p, pivots[i])]
+        pivots[row] = p
+
     for col in cols:
         if col in seen or not any(col):
             continue
@@ -287,7 +300,7 @@ def dense_echelon(cols, dim):
                 continue
             p = pivots.get(row)
             if p is None:
-                pivots[row] = c
+                store(row, c)
                 break
             a, b = p[row], c[row]
             if b % a == 0:
@@ -295,7 +308,7 @@ def dense_echelon(cols, dim):
                 c = [ci - q * pi for ci, pi in zip(c, p)]
             else:
                 x, y, g = xgcd(a, b)
-                pivots[row] = [x * pi + y * ci for pi, ci in zip(p, c)]
+                store(row, [x * pi + y * ci for pi, ci in zip(p, c)])
                 c = [(a // g) * ci - (b // g) * pi for pi, ci in zip(p, c)]
             row += 1
     return [tuple(pivots[r]) for r in sorted(pivots)]

@@ -19,6 +19,7 @@ from nilstab.modules import (
     DualStd,
     Hom,
     Ext,
+    LieLayer,
     Std,
     Tensor,
     eval_module,
@@ -29,6 +30,7 @@ from nilstab.stability import (
     _Coinv,
     _coinv,
     _induced_iso,
+    _minus_unit,
     aut_generators,
     coinvariants,
     gl_generators,
@@ -308,3 +310,17 @@ def test_scan_never_calls_lattice_contains(monkeypatch):
     monkeypatch.setattr(intlinalg, "lattice_contains", refuse)
     rep = stability_scan(Tensor(Std(), DualStd()), 1, range(1, 5))
     assert [e.map_to_next_is_iso for e in rep.entries] == [True, True, True, None]
+
+
+def test_echelon_entries_stay_small_on_lie_layers():
+    # unreduced, the echelon of this lattice reaches 26-bit entries
+    mod = eval_module(LieLayer(5), 3)
+    cols = [_minus_unit(col, j) for a in gl_generators(3) for j, col in enumerate(mod.action(a))]
+    basis = lattice_basis(cols, mod.rank)
+    assert max(abs(x).bit_length() for col in basis for x in col) <= 8
+
+
+def test_scan_lie_six():
+    # unreduced echelon entries grow past 280,000 bits here, and the scan takes minutes
+    rep = stability_scan(LieLayer(6), 1, range(1, 4))
+    assert [str(e.presentation) for e in rep.entries] == ["0", "Z/2 + Z/2", "Z/6"]
