@@ -142,13 +142,11 @@ def is_automorphism(e: Endo) -> bool:
 
 def endo_from_matrix(a, rank: int, class_bound: int) -> Endo:
     """The endomorphism sending x_i to the collected word with abelianization column i."""
-    images = []
-    for i in range(rank):
-        exps = {
-            LyndonBasisElement((j + 1,)): a[j][i] for j in range(rank) if a[j][i]
-        }
-        images.append(GroupElement(rank, class_bound, exps))
-    return Endo(rank, class_bound, tuple(images))
+    images = tuple(
+        GroupElement.from_exponents(rank, class_bound, {(j + 1,): a[j][i] for j in range(rank)})
+        for i in range(rank)
+    )
+    return Endo(rank, class_bound, images)
 
 
 def invert(e: Endo) -> Endo:
@@ -168,7 +166,11 @@ def invert(e: Endo) -> Endo:
     f = endo_from_matrix(a_inv, e.rank, 1)
     for e_k in reversed(quotients[:-1]):
         f = lift(f)
-        f = compose(f, sharp(-flat(compose(e_k, f))))
+        try:
+            beta = flat(compose(e_k, f))
+        except ValueError as err:  # f inverts e_(k-1), so only a fault gets here
+            raise AssertionError(f"inverse climbed to class {e_k.class_bound}: {err}") from None
+        f = compose(f, sharp(-beta))
     if compose(f, e) != Endo.identity(e.rank, e.class_bound):
         raise AssertionError("climbed inverse is not a left inverse")
     return f
@@ -186,21 +188,21 @@ def project(e: Endo) -> Endo:
 
 
 def lift(phi: Endo) -> Endo:
-    """Set-theoretic lift to one class higher: reread the same collected words."""
-    if not is_automorphism(phi):
-        raise ValueError("lift expects an automorphism")
-    c = phi.class_bound + 1
-    images = tuple(
-        GroupElement(phi.rank, c, dict(img.exponents)) for img in phi.images
-    )
-    return Endo(phi.rank, c, images)
+    """Set-theoretic lift to one class higher."""
+    return lift_to_class(phi, phi.class_bound + 1)
 
 
 def lift_to_class(phi: Endo, class_bound: int) -> Endo:
-    e = phi
-    while e.class_bound < class_bound:
-        e = lift(e)
-    return e
+    """Set-theoretic lift to class class_bound: reread the same collected words.
+    At or below phi's class, phi itself."""
+    if class_bound <= phi.class_bound:
+        return phi
+    if not is_automorphism(phi):
+        raise ValueError("lift expects an automorphism")
+    images = tuple(
+        GroupElement(phi.rank, class_bound, dict(img.exponents)) for img in phi.images
+    )
+    return Endo(phi.rank, class_bound, images)
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def sharp(beta: HomMap) -> Endo:
     basis = lyndon_basis(r, c)
     images = []
     for i in range(r):
-        exps = {b: row[i] for b, row in zip(basis, beta.matrix) if row[i]}
+        exps = {b: row[i] for b, row in zip(basis, beta.matrix)}
         x_i = LyndonBasisElement((i + 1,))
         exps[x_i] = exps.get(x_i, 0) + 1  # at class 1 the column holds x_i too
         images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros

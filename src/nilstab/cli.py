@@ -89,6 +89,17 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _int_option(text: str) -> int:
+    """The argparse type of every integer option: read_int's grammar and digit bound."""
+    try:
+        value = read_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -190,15 +201,18 @@ def cmd_comm(args) -> int:
     return _element_command(args, group_comm, poly_group_commutator)
 
 
+def _print_results(results) -> int:
+    """One PASS or FAIL line per check, a failure with its detail; the number failed."""
+    for res in results:
+        detail = f" ({res.detail})" if res.detail and not res.passed else ""
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}{detail}")
+    return sum(not res.passed for res in results)
+
+
 def cmd_verify(args) -> int:
     _bounds(args, args.rank, args.class_bound)
     results = verify.run_suite(args.rank, args.class_bound, args.seed)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        detail = f" ({res.detail})" if res.detail and not res.passed else ""
-        print(f"{status} {res.name}{detail}")
-        failed += 0 if res.passed else 1
+    failed = _print_results(results)
     if failed:
         print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
         return 1
@@ -250,12 +264,7 @@ def cmd_kernel_iso(args) -> int:
     rng = random_module.Random(args.seed)
     res = check_aut_extension(args.rank, args.class_bound, rng, trials=args.trials)
     res2 = check_action_remark(args.rank, args.class_bound, rng)
-    ok = res.passed and res2.passed
-    for r in (res, res2):
-        status = "PASS" if r.passed else "FAIL"
-        detail = f" ({r.detail})" if r.detail and not r.passed else ""
-        print(f"{status} {r.name}{detail}")
-    return 0 if ok else 1
+    return 1 if _print_results((res, res2)) else 0
 
 
 def _subspecs(spec):
@@ -337,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, seed=False, fmt=True, oracle=False):
-        p.add_argument("-r", "--rank", type=int, default=2)
-        p.add_argument("-c", "--class", dest="class_bound", type=int, default=2)
+        p.add_argument("-r", "--rank", type=_int_option, default=2)
+        p.add_argument("-c", "--class", dest="class_bound", type=_int_option, default=2)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_option, default=0)
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text")
         if oracle:
@@ -348,15 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unsafe-bounds", action="store_true")
 
     p = sub.add_parser("witt", help="table of free Lie ring layer ranks")
-    p.add_argument("-r", "--rank", type=int, required=True, help="maximum rank")
-    p.add_argument("-n", "--degree", type=int, required=True, help="maximum degree")
+    p.add_argument("-r", "--rank", type=_int_option, required=True, help="maximum rank")
+    p.add_argument("-n", "--degree", type=_int_option, required=True, help="maximum degree")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--unsafe-bounds", action="store_true")
     p.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("lyndon", help="Lyndon words of one degree")
-    p.add_argument("-r", "--rank", type=int, required=True)
-    p.add_argument("-n", "--degree", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_option, required=True)
+    p.add_argument("-n", "--degree", type=_int_option, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--unsafe-bounds", action="store_true")
     p.set_defaults(func=cmd_lyndon)
@@ -383,20 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut-lift", help="lift an automorphism to a higher class")
     p.add_argument("endo", nargs="?", default=None, help="endomorphism JSON, @file, or - for stdin")
     p.add_argument("--images", nargs="+", default=None, help="generator images in element syntax")
-    p.add_argument("-r", "--rank", type=int, default=None)
-    p.add_argument("-c", "--class", dest="class_bound", type=int, default=None)
-    p.add_argument("--to-class", type=int, default=None)
+    p.add_argument("-r", "--rank", type=_int_option, default=None)
+    p.add_argument("-c", "--class", dest="class_bound", type=_int_option, default=None)
+    p.add_argument("--to-class", type=_int_option, default=None)
     p.add_argument("--unsafe-bounds", action="store_true")
     p.set_defaults(func=cmd_aut_lift)
 
     p = sub.add_parser("kernel-iso", help="verify the kernel/maps correspondence")
     add_common(p, seed=True, fmt=False)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_int_option, default=25)
     p.set_defaults(func=cmd_kernel_iso)
 
     p = sub.add_parser("scan", help="degree-0 stability scan over a rank range")
     p.add_argument("--spec", required=True, help="module spec, e.g. 'hom(std, ext(2, dual))'")
-    p.add_argument("-c", "--class", dest="class_bound", type=int, required=True)
+    p.add_argument("-c", "--class", dest="class_bound", type=_int_option, required=True)
     p.add_argument("-r", "--range", required=True, help="rank range like 1..5")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--allow-unstable", action="store_true")

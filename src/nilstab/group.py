@@ -44,6 +44,7 @@ Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -59,6 +60,8 @@ from .series import (
 )
 from .words import (
     LyndonBasisElement,
+    basis_terms,
+    check_terms,
     lyndon_basis,
     lyndon_factors,
     lyndon_prefix_splits,
@@ -122,15 +125,8 @@ class GroupElement:
     def __post_init__(self):
         if self.rank < 1 or self.class_bound < 1:
             raise ValueError("need rank >= 1 and class >= 1")
-        for b, e in self.exponents.items():
-            if type(e) is not int:
-                raise ValueError("exponents must be integers")
-            if e == 0:
-                raise ValueError("zero exponent stored")
-            if b.degree > self.class_bound:
-                raise ValueError("degree beyond class bound")
-            if any(not 1 <= x <= self.rank for x in b.word):
-                raise ValueError("letter out of range")
+        words = [b.word for b in self.exponents]
+        check_terms(self.rank, self.class_bound, words, self.exponents.values(), "exponent")
 
     @classmethod
     def identity(cls, rank: int, class_bound: int) -> "GroupElement":
@@ -138,19 +134,11 @@ class GroupElement:
 
     @classmethod
     def generator(cls, rank: int, class_bound: int, i: int) -> "GroupElement":
-        if not 1 <= i <= rank:
-            raise ValueError("generator index out of range")
         return cls(rank, class_bound, {LyndonBasisElement((i,)): 1})
 
     @classmethod
     def from_exponents(cls, rank: int, class_bound: int, exps: dict) -> "GroupElement":
-        cleaned = {}
-        for key, e in exps.items():
-            if e == 0 and type(e) is int:
-                continue
-            b = key if isinstance(key, LyndonBasisElement) else LyndonBasisElement(tuple(key))
-            cleaned[b] = e
-        return cls(rank, class_bound, cleaned)
+        return cls(rank, class_bound, basis_terms(exps))
 
     def is_identity(self) -> bool:
         return not self.exponents
@@ -160,8 +148,7 @@ class GroupElement:
             raise ValueError("rank/class mismatch")
 
     def __hash__(self) -> int:
-        items = tuple(sorted((b.word, e) for b, e in self.exponents.items()))
-        return hash((self.rank, self.class_bound, items))
+        return hash((self.rank, self.class_bound, frozenset(self.exponents.items())))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return mul(self, other)
@@ -173,7 +160,7 @@ class GroupElement:
         if self.rank <= len(_LETTERS):
             body = element_to_text(self)
         else:
-            body = repr(sorted((b.word, e) for b, e in self.exponents.items()))
+            body = repr(_factors(self))
         return f"GroupElement({self.rank}, {self.class_bound}, {body!r})"
 
 
@@ -185,9 +172,9 @@ def magnus_embed(g: GroupElement) -> TruncatedSeries:
     r, c = g.rank, g.class_bound
     acc = {(): 1}
     tail = {}
-    for b in sorted(g.exponents, key=LyndonBasisElement.sort_key):
-        basic, e = _basic_series(r, c, b.word), g.exponents[b]
-        if 2 * b.degree > c:
+    for word, e in _factors(g):
+        basic = _basic_series(r, c, word)
+        if 2 * len(word) > c:
             add_scaled(tail, e, basic)
         else:
             acc = unit_mul(acc, poly_unit_pow(basic, e, c), c)
@@ -277,8 +264,8 @@ def magnus_peel(s: TruncatedSeries) -> GroupElement:
 
 
 def _factors(g: GroupElement) -> list:
-    """The collected form of g as (word, exponent) factors in basis order."""
-    return [(b.word, g.exponents[b]) for b in sorted(g.exponents, key=LyndonBasisElement.sort_key)]
+    """The collected form of g as (word, exponent) factors in basis order: by degree, then word."""
+    return [f[1:] for f in sorted([(len(b.word), b.word, e) for b, e in g.exponents.items()])]
 
 
 def _inverse_factors(g: GroupElement) -> list:
@@ -392,14 +379,15 @@ MAX_INPUT_DIGITS = 4300
 
 
 def read_int(text: str):
-    """The integer text writes, or None if it writes none; a ValueError if it
-    has more than MAX_INPUT_DIGITS digits."""
-    if sum(map(str.isdigit, text)) > MAX_INPUT_DIGITS:
-        raise ValueError(f"integer input has more than {MAX_INPUT_DIGITS} digits")
-    try:
-        return int(text)
-    except ValueError:
+    """The integer text writes as an optional sign and ASCII digits, whitespace
+    around, else None (int() also reads '_' and non-ASCII digits); a ValueError
+    past MAX_INPUT_DIGITS digits."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
         return None
+    if len(text.lstrip("+-")) > MAX_INPUT_DIGITS:
+        raise ValueError(f"integer input has more than {MAX_INPUT_DIGITS} digits")
+    return int(text)
 
 
 def _word_to_text(word: tuple) -> str:
@@ -428,9 +416,8 @@ def element_to_text(g: GroupElement) -> str:
     if g.rank > len(_LETTERS):
         raise ValueError("text encoding supports rank <= 26")
     parts = []
-    for b in sorted(g.exponents, key=LyndonBasisElement.sort_key):
-        e = g.exponents[b]
-        atom = _word_to_text(b.word) if b.degree == 1 else f"[{_word_to_text(b.word)}]"
+    for word, e in _factors(g):
+        atom = _word_to_text(word) if len(word) == 1 else f"[{_word_to_text(word)}]"
         parts.append(atom if e == 1 else f"{atom}^{e}")
     return " * ".join(parts) if parts else "1"
 
@@ -464,10 +451,7 @@ def parse_element(text: str, rank: int, class_bound: int) -> GroupElement:
 
 
 def element_to_json(g: GroupElement) -> dict:
-    exponents = [
-        [_word_to_text(b.word), e]
-        for b, e in sorted(g.exponents.items(), key=lambda kv: kv[0].sort_key())
-    ]
+    exponents = [[_word_to_text(word), e] for word, e in _factors(g)]
     return {"rank": g.rank, "class": g.class_bound, "exponents": exponents}
 
 

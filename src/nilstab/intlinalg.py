@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
+from .series import add_scaled
+
 Matrix = tuple  # tuple of row tuples of int
 
 
@@ -339,16 +341,6 @@ class FinAbPresentation:
         return " + ".join(parts) if parts else "0"
 
 
-def _add_multiple(c: dict, q: int, p: dict) -> None:
-    """c += q * p in place, for columns held as row -> nonzero value."""
-    for i, y in p.items():
-        z = c.get(i, 0) + q * y
-        if z:
-            c[i] = z
-        else:
-            c.pop(i, None)
-
-
 def _store_pivot(pivots: dict, row: int, c: dict) -> None:
     """Store c as the pivot column at row, after reducing each entry below the
     pivot, top row first, to its centered remainder by the pivot stored at
@@ -365,7 +357,7 @@ def _store_pivot(pivots: dict, row: int, c: dict) -> None:
         a = abs(p[i])
         q = (2 * x + a) // (2 * a)  # the integer nearest x / a
         if q:
-            _add_multiple(c, -q if p[i] > 0 else q, p)
+            add_scaled(c, -q if p[i] > 0 else q, p)
             for j in p:
                 if j not in queued and j in pivots:
                     queued.add(j)
@@ -385,13 +377,13 @@ def _reduce_column(pivots: dict, c: dict) -> None:
             return
         a, b = p[row], c[row]
         if b % a == 0:
-            _add_multiple(c, -(b // a), p)
+            add_scaled(c, -(b // a), p)
         else:
             x, y, g = xgcd(a, b)
             new_p = {i: x * v for i, v in p.items()} if x else {}
-            _add_multiple(new_p, y, c)
+            add_scaled(new_p, y, c)
             c = {i: (a // g) * v for i, v in c.items()}
-            _add_multiple(c, -(b // g), p)
+            add_scaled(c, -(b // g), p)
             _store_pivot(pivots, row, new_p)
 
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .series import add_scaled, poly_mul, poly_sub, poly_substitute
-from .words import LyndonBasisElement, bracketing, is_lyndon, lyndon_words
+from .words import (
+    LyndonBasisElement,
+    basis_terms,
+    bracketing,
+    check_terms,
+    is_lyndon,
+    lyndon_words,
+)
 
 
 class LieSpanError(ValueError):
@@ -88,15 +95,8 @@ class LieElement:
     terms: dict  # LyndonBasisElement -> nonzero int
 
     def __post_init__(self):
-        for b, c in self.terms.items():
-            if type(c) is not int:
-                raise ValueError("coefficients must be integers")
-            if c == 0:
-                raise ValueError("zero coefficient stored")
-            if b.degree > self.class_bound:
-                raise ValueError("degree beyond class bound")
-            if any(not 1 <= x <= self.rank for x in b.word):
-                raise ValueError("letter out of range")
+        words = [b.word for b in self.terms]
+        check_terms(self.rank, self.class_bound, words, self.terms.values(), "coefficient")
 
     @classmethod
     def zero(cls, rank: int, class_bound: int) -> "LieElement":
@@ -104,14 +104,11 @@ class LieElement:
 
     @classmethod
     def generator(cls, rank: int, class_bound: int, i: int) -> "LieElement":
-        if not 1 <= i <= rank:
-            raise ValueError("generator index out of range")
         return cls(rank, class_bound, {LyndonBasisElement((i,)): 1})
 
     @classmethod
     def from_word_coords(cls, rank: int, class_bound: int, coords: dict) -> "LieElement":
-        terms = {LyndonBasisElement(w): c for w, c in coords.items() if c or type(c) is not int}
-        return cls(rank, class_bound, terms)
+        return cls(rank, class_bound, basis_terms(coords))
 
     def _check(self, other: "LieElement"):
         if (self.rank, self.class_bound) != (other.rank, other.class_bound):
@@ -120,12 +117,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check(other)
         terms = dict(self.terms)
-        for b, c in other.terms.items():
-            s = terms.get(b, 0) + c
-            if s:
-                terms[b] = s
-            else:
-                del terms[b]
+        add_scaled(terms, 1, other.terms)
         return LieElement(self.rank, self.class_bound, terms)
 
     def __neg__(self) -> "LieElement":

@@ -306,7 +306,7 @@ def based_module_to_json(mod: BasedModule, matrices=()) -> dict:
 
 # --- spec grammar -------------------------------------------------------------
 
-_TOKEN = re.compile(r"\(x\)|[a-z]+|\d+|Z|[\^(),]")
+_TOKEN = re.compile(r"\(x\)|[a-z]+|[0-9]+|Z|[\^(),]")
 
 # Deepest spec that parse_module_spec accepts, one level per constructor:
 # 'std' has depth 1 and 'tensor(std, dual)' depth 2.  The parser, str and
@@ -349,7 +349,7 @@ class _Parser:
 
     def number(self) -> int:
         tok = self.take()
-        value = read_int(tok) if tok.isdigit() else None
+        value = read_int(tok)
         if value is None:
             raise ValueError(f"expected a number, found {tok!r}")
         if value > sys.maxsize:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .words import check_terms
+
 
 def add_scaled(t: dict, s: int, a: dict) -> None:
     """t += s * a, in place."""
-    get = t.get
     for w, x in a.items():
-        v = get(w, 0) + s * x
+        v = t.get(w, 0) + s * x
         if v:
             t[w] = v
         else:
@@ -240,13 +241,8 @@ class TruncatedSeries:
     coefficients: dict
 
     def __post_init__(self):
-        if 0 in self.coefficients.values():
-            raise ValueError("zero coefficient stored")
-        if self.coefficients and max(map(len, self.coefficients)) > self.class_bound:
-            raise ValueError("word beyond class bound")
-        letters = set().union(*self.coefficients)
-        if letters and not (1 <= min(letters) and max(letters) <= self.rank):
-            raise ValueError("letter out of range")
+        coeffs = self.coefficients
+        check_terms(self.rank, self.class_bound, coeffs, coeffs.values(), "coefficient")
 
     @classmethod
     def one(cls, rank: int, class_bound: int) -> "TruncatedSeries":

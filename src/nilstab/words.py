@@ -171,6 +171,30 @@ class LyndonBasisElement:
         return f"LyndonBasisElement({''.join(map(str, self.word))})"
 
 
+def basis_terms(terms: dict) -> dict:
+    """terms keyed by basis element, each key given as one or as its word;
+    integer zeros are dropped and every other value is kept for check_terms."""
+    return {
+        key if isinstance(key, LyndonBasisElement) else LyndonBasisElement(tuple(key)): x
+        for key, x in terms.items()
+        if x or type(x) is not int
+    }
+
+
+def check_terms(rank: int, class_bound: int, words, values, what: str) -> None:
+    """Refuse terms unless each value is a nonzero int and each word (a tuple)
+    has length <= class_bound over the letters 1..rank; `what` names a value."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what}s must be integers")
+    if 0 in values:
+        raise ValueError(f"zero {what} stored")
+    if max(map(len, words), default=0) > class_bound:
+        raise ValueError("degree beyond class bound")
+    letters = set().union(*words)
+    if letters and not (1 <= min(letters) and max(letters) <= rank):
+        raise ValueError("letter out of range")
+
+
 @lru_cache(maxsize=None)
 def lyndon_basis(r: int, n: int) -> tuple:
     """Degree-n basis elements over {1..r}, in lexicographic order."""

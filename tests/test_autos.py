@@ -301,16 +301,24 @@ def test_invert_certifies_its_result(r, c, monkeypatch):
         random_automorphism(random.Random(38), r, c),
         sharp(HomMap.basis_element(r, c, 0, 0)),
     )
+    for wrong_class in range(2, c + 1):
 
-    def wrong_at_top(beta):
-        # the correct map below the top class, the identity at it
-        if beta.class_of_target == c:
-            return Endo.identity(r, c)
-        return sharp(beta)
+        def wrong_at(beta, wrong_class=wrong_class):
+            # the correct map at every class but one, the identity at that one
+            if beta.class_of_target == wrong_class:
+                return Endo.identity(r, wrong_class)
+            return sharp(beta)
 
-    monkeypatch.setattr(autos, "sharp", wrong_at_top)
-    with pytest.raises(AssertionError):
-        invert(e)
+        monkeypatch.setattr(autos, "sharp", wrong_at)
+        # the top class fails the final check; a lower one leaves the next
+        # class's defect outside the kernel, which flat refuses
+        message = (
+            "climbed inverse is not a left inverse"
+            if wrong_class == c
+            else f"inverse climbed to class {wrong_class + 1}: not in kernel"
+        )
+        with pytest.raises(AssertionError, match=message):
+            invert(e)
 
 
 def test_project():
@@ -524,14 +532,28 @@ def test_endo_json_round_trip():
     assert obj["rank"] == 2 and obj["class"] == 2 and len(obj["images"]) == 2
 
 
-def test_lift_to_class_iterates():
+def test_lift_to_class_iterates(monkeypatch):
     phi = swap_endo(2, 1)
+    checked = []
+
+    def counted(e):
+        checked.append(e.class_bound)
+        return is_automorphism(e)
+
+    monkeypatch.setattr(autos, "is_automorphism", counted)
     lifted = lift_to_class(phi, 4)
     assert lifted.class_bound == 4
+    assert checked == [1]  # the images are reread once, the determinant taken once
+    assert lifted == lift(lift(lift(phi)))
     back = lifted
     while back.class_bound > 1:
         back = project(back)
     assert back == phi
+    # at or below its class, phi itself, automorphism or not
+    square = endo_from_images([parse_element("a^2", 2, 2), parse_element("b", 2, 2)])
+    assert lift_to_class(square, 2) is square and lift_to_class(square, 1) is square
+    with pytest.raises(ValueError, match="lift expects an automorphism"):
+        lift_to_class(square, 3)
 
 
 def test_bad_images_rejected():

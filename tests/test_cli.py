@@ -497,6 +497,22 @@ def test_failed_assertion_is_an_internal_error(capsys, monkeypatch):
     assert _internal_error(run(capsys, "scan", "--spec", "std", "-c", "1", "-r", "1..2"))
 
 
+def test_broken_invert_below_the_top_is_an_internal_error(capsys, monkeypatch):
+    from nilstab import autos
+
+    sharp = autos.sharp
+
+    def wrong_at_class_two(beta):
+        if beta.class_of_target == 2:
+            return autos.Endo.identity(beta.rank, 2)
+        return sharp(beta)
+
+    monkeypatch.setattr(autos, "sharp", wrong_at_class_two)
+    result = run(capsys, "verify", "-r", "3", "-c", "4")
+    assert _internal_error(result)
+    assert "inverse climbed to class 3: not in kernel" in result[2]
+
+
 def test_snf_reports_bad_json(capsys):
     result = run(capsys, "snf", "[[1,2")
     assert _usage_error(result) and "bad JSON input" in result[2]
@@ -570,6 +586,69 @@ def test_long_integer_input_is_a_usage_error(capsys, fmt):
         result = run(capsys, *argv)
         assert _usage_error(result)
         assert result[2].endswith(f": integer input has more than {MAX_INPUT_DIGITS} digits\n")
+
+
+# --- one integer grammar: an optional sign and ASCII digits ------------------
+
+
+def _argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code == 2 and not out.out and out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mul", "-r", "2", "-c", "2", "a^1_0", "b"], "bad exponent in 'a^1_0'"),
+        (["mul", "-r", "2", "-c", "2", "a^٣", "b"], "bad exponent in 'a^٣'"),
+        (["scan", "--spec", "std", "-c", "1", "-r", "0_1..0_2"], "bad rank range '0_1..0_2'"),
+        (["scan", "--spec", "std", "-c", "1", "-r", "1..２"], "bad rank range '1..２'"),
+        (["scan", "--spec", "lie(٣)", "-c", "3", "-r", "1..2"], "bad character '٣' in module spec"),
+        (["scan", "--spec", "const(Z^1_0)", "-c", "1", "-r", "1..2"], "bad character '_' in"),
+        (["snf", "[[٣]]"], "bad JSON input"),
+    ],
+)
+def test_integer_text_is_ascii_digits(capsys, argv, message):
+    result = run(capsys, *argv)
+    assert _usage_error(result) and message in result[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "-r", "{}", "-n", "2"],
+        ["lyndon", "-r", "2", "-n", "{}"],
+        ["mul", "-r", "{}", "-c", "2", "a", "b"],
+        ["inv", "-r", "2", "-c", "{}", "a"],
+        ["verify", "-r", "2", "-c", "2", "--seed", "{}"],
+        ["kernel-iso", "-r", "2", "-c", "2", "--trials", "{}"],
+        ["aut-lift", "--images", "a", "b", "-r", "2", "-c", "1", "--to-class", "{}"],
+        ["scan", "--spec", "std", "-c", "{}", "-r", "1..2"],
+    ],
+)
+@pytest.mark.parametrize("value", ["1_0", "٣", "３", "0x2"])
+def test_integer_options_read_the_same_grammar(capsys, argv, value):
+    argv = [value if token == "{}" else token for token in argv]
+    assert f"invalid int value: '{value}'" in _argparse_error(argv, capsys)
+
+
+def test_integer_options_take_a_sign_and_are_bounded(capsys):
+    code, out, _ = run(capsys, "witt", "-r", "+2", "-n", " 2 ")
+    assert code == 0 and out == "r=1: 1 0\nr=2: 2 1\n"
+    too_long = "1" * (MAX_INPUT_DIGITS + 1)
+    err = _argparse_error(["witt", "-r", too_long, "-n", "2"], capsys)
+    assert f"integer input has more than {MAX_INPUT_DIGITS} digits" in err
+    assert too_long not in err
+
+
+@pytest.mark.parametrize("value", ["٧", "1_0", "７"])
+def test_max_class_env_is_ascii_digits(capsys, monkeypatch, value):
+    monkeypatch.setenv("NILSTAB_MAX_CLASS", value)
+    result = run(capsys, "mul", "-r", "2", "-c", "2", "a", "b")
+    assert _usage_error(result)
+    assert f"NILSTAB_MAX_CLASS must be an integer, got {value!r}" in result[2]
 
 
 # --- fuzzed argv: every malformed input is an exit code and a message ---------
@@ -714,3 +793,108 @@ def test_fuzzed_argv_exits_cleanly(argv, stdin_text, max_class):
     if code == 3 or (code == 2 and not from_argparse):
         assert len(err.splitlines()) == 1, err
     assert again[:2] == (code, out)
+
+
+# --- grammar-based fuzz: specs, integers and JSON built from their grammars ---
+
+# integer text: small values, or a sign or whitespace, '_' separators,
+# non-ASCII digits, or either side of the digit bound
+_SMALL_INTEGER_TEXTS = st.sampled_from(["1", "2", "3"])
+_ODD_INTEGER_TEXTS = st.sampled_from(
+    ["0", "+2", " 1", "-1", "1_0", "٣", "３", "1" * MAX_INPUT_DIGITS, "1" * (MAX_INPUT_DIGITS + 1)]
+)
+# one nesting level each that keeps the module's rank
+_RANK_KEEPING_LEVELS = ["tensor(const, {})", "{} (x) const", "ext(1, {})", "sum({}, const(Z^0))"]
+
+
+def _spec_leaves(integers):
+    return (
+        st.sampled_from(["std", "dual", "const"])
+        | integers.map("const(Z^{})".format)
+        | integers.map("lie({})".format)
+    )
+
+
+def _spec_trees(integers):
+    """Module specs over every constructor, with (x) chains, their numbers drawn from integers."""
+    return st.recursive(
+        _spec_leaves(integers),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(["sum", "tensor", "hom"]), inner, inner).map(
+                lambda t: f"{t[0]}({t[1]}, {t[2]})"
+            ),
+            st.tuples(integers, inner).map(lambda t: f"ext({t[0]}, {t[1]})"),
+            st.lists(inner, min_size=2, max_size=3).map(" (x) ".join),
+        ),
+        max_leaves=4,
+    )
+
+
+def _nested_json(draw, doc):
+    """doc, sometimes inside lists or objects nested past the recursion limit."""
+    depth = draw(st.sampled_from([0, 0, 0, 2, 900, 1100, 5000]))
+    opening, closing = draw(st.sampled_from([("[", "]"), ('{"x":', "}")]))
+    return opening * depth + doc + closing * depth
+
+
+@st.composite
+def _grammar_argvs(draw):
+    """Argument lists of scan, mul, inv, witt, snf and aut-lift.  Half of them
+    write only small integers, so that deep specs and lifts get computed; the
+    rest draw each integer from every shape."""
+    clean = draw(st.booleans())
+    integers = _SMALL_INTEGER_TEXTS if clean else _SMALL_INTEGER_TEXTS | _ODD_INTEGER_TEXTS
+    number = lambda: draw(integers)  # noqa: E731
+    command = draw(st.sampled_from(["scan", "scan", "scan", "mul", "inv", "witt", "snf", "aut-lift"]))
+    if command == "scan":
+        if draw(st.booleans()):
+            spec = draw(_spec_trees(integers))
+        else:
+            # a leaf at depth 1 wrapped to a depth on either side of MAX_SPEC_DEPTH
+            spec = draw(_spec_leaves(integers))
+            for _ in range(draw(st.sampled_from(range(MAX_SPEC_DEPTH - 2, MAX_SPEC_DEPTH + 1)))):
+                spec = draw(st.sampled_from(_RANK_KEEPING_LEVELS)).format(spec)
+        rng = draw(st.sampled_from(["1..", "2..", ""])) + draw(st.sampled_from(["2", "3"]) | integers)
+        fmt = draw(st.sampled_from(["text", "json", "csv"]))
+        return [command, "--spec", spec, "-c", number(), "-r", rng, "--allow-unstable",
+                "--format", fmt]
+    if command in ("mul", "inv"):
+        operands = [f"a^{number()} * [ab]^{number()}", f"b^{number()}"][: 2 if command == "mul" else 1]
+        return [command, "-r", "2", "-c", number(), *draw(_flag("--oracle")), *operands]
+    if command == "witt":
+        return [command, "-r", number(), "-n", number()]
+    if command == "snf":
+        rows = draw(st.lists(st.lists(integers, min_size=1, max_size=3), max_size=3))
+        doc = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+        return [command, _nested_json(draw, doc), *draw(_FORMAT)]
+    # aut-lift: each image is its generator times powers of other basic commutators
+    rank, klass = (draw(st.sampled_from(["2", "3"])), number()) if clean else (number(), number())
+    images = []
+    for letter in "abc"[: int(rank) if clean else draw(st.integers(0, 3))]:
+        words = st.sampled_from(["ab", "abb", "ac"] if clean else ["a", "ab", "ba", "c"])
+        others = st.lists(st.tuples(words, integers), max_size=2, unique_by=lambda t: t[0])
+        entries = [(letter, "1"), *draw(others)]
+        exps = ",".join(f'["{w}",{n}]' for w, n in entries)
+        images.append(f'{{"rank":{rank},"class":{klass},"exponents":[{exps}]}}')
+    doc = f'{{"rank":{rank},"class":{klass},"images":[{",".join(images)}]}}'
+    return [command, _nested_json(draw, doc), "--to-class", number()]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(argv=_grammar_argvs())
+@example(argv=["scan", "--spec", "lie(٣)", "-c", "3", "-r", "1..2"])
+@example(argv=["witt", "-r", "٣", "-n", "2"])
+@example(argv=["snf", "[" * 5000 + "]" * 5000])
+@example(argv=["scan", "--spec", "ext(1, " * (MAX_SPEC_DEPTH - 1) + "std" + ")" * (MAX_SPEC_DEPTH - 1),
+               "-c", "1", "-r", "1..2"])
+@example(argv=["scan", "--spec", "ext(1, " * MAX_SPEC_DEPTH + "std" + ")" * MAX_SPEC_DEPTH,
+               "-c", "1", "-r", "1..2"])
+@example(argv=["mul", "-r", "2", "-c", "3", "a^" + "1" * MAX_INPUT_DIGITS, "b^-" + "1" * 4000])
+@example(argv=["mul", "-r", "2", "-c", "3", "a^" + "1" * (MAX_INPUT_DIGITS + 1), "b"])
+def test_grammar_fuzzed_input_exits_cleanly(argv):
+    code, out, err, from_argparse = _run_main(argv, "")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2 and not from_argparse:
+        assert len(err.splitlines()) == 1, err
+    assert _run_main(argv, "")[:2] == (code, out)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nilstab.group import (
+    MAX_INPUT_DIGITS,
     GroupElement,
     NotAGroupElement,
     _basic_powers,
@@ -25,6 +26,7 @@ from nilstab.group import (
     magnus_peel,
     mul,
     parse_element,
+    read_int,
     truncate,
 )
 from nilstab.lie import LieElement
@@ -638,6 +640,48 @@ def test_truncated_series_refusals():
         with pytest.raises(ValueError, match="letter out of range"):
             TruncatedSeries(2, 3, {(): 1, (1, letter): 1})
     assert TruncatedSeries(2, 3, {(): 1, (1, 2, 2): -1}).coefficients == {(): 1, (1, 2, 2): -1}
+
+
+@pytest.mark.parametrize(
+    "value, word, message",
+    [
+        (1.0, (1, 2), "{what}s must be integers"),
+        (True, (1, 2), "{what}s must be integers"),
+        (0, (1, 2), "zero {what} stored"),
+        (1, (1, 2, 2, 2), "degree beyond class bound"),
+        (1, (1, 3), "letter out of range"),
+        (1, (0, 1), "letter out of range"),
+    ],
+)
+def test_every_term_container_refuses_a_fault_alike(value, word, message):
+    # one validator, words.check_terms, with the value named by the container
+    makers = [
+        ("exponent", lambda: GroupElement(2, 3, {LyndonBasisElement(word): value})),
+        ("coefficient", lambda: LieElement(2, 3, {LyndonBasisElement(word): value})),
+        ("coefficient", lambda: TruncatedSeries(2, 3, {(): 1, word: value})),
+    ]
+    for what, make in makers:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message.format(what=what)
+
+
+def test_generator_index_is_a_letter_in_range():
+    for i in (0, 3):
+        for make in (GroupElement.generator, LieElement.generator):
+            with pytest.raises(ValueError, match="letter out of range"):
+                make(2, 2, i)
+
+
+def test_read_int_takes_a_sign_and_ascii_digits():
+    assert [read_int(t) for t in ("7", " -12 ", "+3", "007", "-0", "\t5\n")] == [7, -12, 3, 7, 0, 5]
+    for text in ("", " ", "+", "-", "1_0", "1 0", "- 1", "++1", "0x10", "1.0", "1e3"):
+        assert read_int(text) is None, text
+    for text in ("٣", "３", "²", "1٣"):  # non-ASCII digits
+        assert read_int(text) is None, text
+    assert read_int("9" * MAX_INPUT_DIGITS) == 10**MAX_INPUT_DIGITS - 1
+    with pytest.raises(ValueError, match=f"more than {MAX_INPUT_DIGITS} digits"):
+        read_int("-" + "9" * (MAX_INPUT_DIGITS + 1))
 
 
 def test_group_element_letters_must_be_in_range():
