@@ -33,6 +33,8 @@ DEFAULT_MAX_CLASS = 6
 # largest module rank that scan accepts without --unsafe-bounds: the rank of the
 # largest module in the benchmark scans, tensor(lie(3), dual) at r = 6
 DEFAULT_MAX_MODULE_RANK = 420
+# most trials kernel-iso runs: 100 trials take about 0.35 s at r = c = 2
+MAX_TRIALS = 10_000
 
 
 class UsageError(Exception):
@@ -259,6 +261,8 @@ def cmd_kernel_iso(args) -> int:
         raise UsageError("kernel-iso needs -c >= 2")
     if args.trials < 1:
         raise UsageError("kernel-iso needs --trials >= 1")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"kernel-iso needs --trials <= {MAX_TRIALS}")
     import random as random_module
 
     rng = random_module.Random(args.seed)

@@ -168,11 +168,35 @@ def minor(a: Matrix, rows, cols) -> int:
 
 
 def int_inverse(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix: U*A*V = I gives A^-1 = V*U."""
-    res = snf(a)
-    if res.D != identity(len(a)):
-        raise ValueError(f"matrix is not invertible over the integers (det={det(a)})")
-    return matmul(res.V, res.U)
+    """Inverse of a unimodular integer matrix: unimodular row operations take
+    [A | I] to [I | A^-1], each pivot the gcd of its column below the diagonal."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix is not square ({n}x{len(a[0])})")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            p, x = m[k][k], m[i][k]
+            if not x:
+                continue
+            if p and not x % p:
+                q = x // p
+                m[i] = [u - q * v for u, v in zip(m[i], m[k])]
+            else:  # (row k, row i) <- (s, t; -x/g, p/g) (row k, row i), det 1
+                s, t, g = xgcd(p, x)
+                m[k], m[i] = (
+                    [s * u + t * v for u, v in zip(m[k], m[i])],
+                    [p // g * v - x // g * u for u, v in zip(m[k], m[i])],
+                )
+        if m[k][k] not in (1, -1):
+            raise ValueError(f"matrix is not invertible over the integers (det={det(a)})")
+        if m[k][k] < 0:
+            m[k] = [-u for u in m[k]]
+        for i in range(k):
+            q = m[i][k]
+            if q:
+                m[i] = [u - q * v for u, v in zip(m[i], m[k])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def compound(a: Matrix, t: int, nrows: int, ncols: int) -> Matrix:

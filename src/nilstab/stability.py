@@ -200,10 +200,11 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
     if any(b <= a for a, b in zip(ranks, ranks[1:])) or ranks[0] < 1:
         raise ValueError("rank range must be strictly increasing and start at >= 1")
 
+    gens = {r: gl_generators(r) for r in ranks}
     per_rank: dict = {}
     for r in ranks:
         mod = eval_module(spec, r)
-        per_rank[r] = (mod, _coinv([mod.action(a) for a in gl_generators(r)], mod.rank))
+        per_rank[r] = (mod, _coinv([mod.action(a) for a in gens[r]], mod.rank))
 
     entries = []
     iso_flags: dict = {}
@@ -214,7 +215,7 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
             continue
         mod_next, coinv_next = per_rank[r + 1]
         # middle term: the smaller group, acting on the stabilized coefficients
-        mid = [mod_next.action(_block_embed(a)) for a in gl_generators(r)]
+        mid = [mod_next.action(_block_embed(a)) for a in gens[r]]
         coinv_mid = _coinv(mid, mod_next.rank)
         stab_leg = _induced_iso(mod.stab_index, coinv_r, coinv_mid)
         group_leg = _induced_iso(tuple(range(mod_next.rank)), coinv_mid, coinv_next)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nilstab.cli import main
 from nilstab.group import MAX_INPUT_DIGITS, element_to_text, parse_element
 from nilstab.modules import MAX_SPEC_DEPTH
+from nilstab import verify
 from nilstab.verify import random_group_element
 
 
@@ -472,6 +473,27 @@ def test_kernel_iso_refuses_no_trials(capsys, trials):
     # a vacuous aut-extension check must not print PASS
     result = run(capsys, "kernel-iso", "-r", "2", "-c", "2", "--trials", trials)
     assert _usage_error(result) and "--trials >= 1" in result[2]
+
+
+def test_kernel_iso_caps_the_trials(capsys, monkeypatch):
+    from nilstab import cli
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs["trials"])
+        raise RuntimeError("trials reached the check")
+
+    # refuse before any trial runs; at the cap the check is reached
+    monkeypatch.setattr(verify, "check_aut_extension", record)
+    monkeypatch.setattr(cli, "check_aut_extension", record)
+    for too_many in (cli.MAX_TRIALS + 1, 10**9):
+        result = run(capsys, "kernel-iso", "-r", "2", "-c", "2", "--trials", str(too_many))
+        assert _usage_error(result) and f"--trials <= {cli.MAX_TRIALS}" in result[2]
+    assert not calls
+    with pytest.raises(RuntimeError, match="reached the check"):
+        main(["kernel-iso", "-r", "2", "-c", "2", "--trials", str(cli.MAX_TRIALS)])
+    assert calls == [cli.MAX_TRIALS]
 
 
 def _internal_error(result):

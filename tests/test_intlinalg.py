@@ -112,6 +112,69 @@ def test_int_inverse_of_gl_generator_products():
         int_inverse(doubled)
 
 
+def smith_inverse(a):
+    """The inverse read off the Smith form, U*A*V = I gives A^-1 = V*U: the
+    reference that the row-reduced inverse is held to."""
+    res = snf(a)
+    assert res.D == identity(len(a))
+    return matmul(res.V, res.U)
+
+
+def random_elementary(rng, n):
+    """E_ij(q) with |q| < 100, or a sign flip of one coordinate."""
+    m = [list(row) for row in identity(n)]
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if i == j or rng.random() < 0.2:
+        m[i][i] = -1
+    else:
+        m[i][j] = rng.randint(-99, 99)
+    return freeze(m)
+
+
+def test_int_inverse_matches_the_smith_form_inverse():
+    from nilstab.stability import gl_generators
+
+    cases = [a for r in range(1, 7) for a in gl_generators(r)]
+    rng = random.Random(72)
+    for n in range(1, 9):
+        for _ in range(8):
+            a = identity(n)
+            for _ in range(rng.randint(0, 40)):
+                a = matmul(a, random_elementary(rng, n))
+            cases.append(a)
+    assert max(abs(x).bit_length() for a in cases for row in a for x in row) > 64
+    for a in cases:
+        inv = int_inverse(a)
+        assert inv == smith_inverse(a)
+        assert matmul(a, inv) == identity(len(a)) == matmul(inv, a)
+
+
+def test_int_inverse_edge_cases(monkeypatch):
+    import nilstab.intlinalg as intlinalg
+
+    def refuse(_):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(intlinalg, "snf", refuse)
+    assert int_inverse(()) == ()
+    assert int_inverse(((-1,),)) == ((-1,),)
+    assert int_inverse(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert int_inverse(((2, 3), (1, 2))) == ((2, -3), (-1, 2))
+    with pytest.raises(ValueError, match=r"not invertible over the integers \(det=2\)"):
+        int_inverse(((2, 1), (0, 1)))
+    with pytest.raises(ValueError, match=r"\(det=0\)"):
+        int_inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match=r"\(det=0\)"):
+        int_inverse(((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 0)])
+def test_int_inverse_refuses_a_non_square_matrix(shape):
+    a = tuple((1,) * shape[1] for _ in range(shape[0]))
+    with pytest.raises(ValueError, match=rf"not square \({shape[0]}x{shape[1]}\)"):
+        int_inverse(a)
+
+
 def test_compound_cauchy_binet():
     rng = random.Random(64)
     for _ in range(10):
