@@ -76,9 +76,6 @@ class Endo:
         gens = tuple(GroupElement.generator(rank, class_bound, i) for i in range(1, rank + 1))
         return cls(rank, class_bound, gens)
 
-    def is_identity(self) -> bool:
-        return self == Endo.identity(self.rank, self.class_bound)
-
 
 def endo_from_images(images) -> Endo:
     images = tuple(images)

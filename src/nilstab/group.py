@@ -153,9 +153,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return mul(self, other)
 
-    def inverse(self) -> "GroupElement":
-        return inv(self)
-
     def __repr__(self) -> str:
         if self.rank <= len(_LETTERS):
             body = element_to_text(self)

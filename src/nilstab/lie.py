@@ -126,11 +126,6 @@ class LieElement:
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-other)
 
-    def scale(self, s: int) -> "LieElement":
-        if s == 0:
-            return LieElement.zero(self.rank, self.class_bound)
-        return LieElement(self.rank, self.class_bound, {b: s * c for b, c in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 

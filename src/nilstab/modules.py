@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -34,19 +34,38 @@ from .words import lyndon_words, witt_rank
 
 
 class ModuleSpec:
-    """Base class for the constructor algebra; instances are immutable."""
+    """Base class for the constructor algebra; instances are immutable.
 
-    def __str__(self) -> str:  # canonical grammar form
-        raise NotImplementedError
+    A constructor's grammar word is its class attribute name, and its
+    dataclass fields are its arguments in grammar order: an int field is a
+    number, any other field a spec.  The printer, the parser and the argument
+    check all read that one description; const is the one irregular form.
+    """
+
+    name = ""
+    minimum = None  # (least value, message) for the int field, if bounded
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if type(value) is not int:
+                    raise ValueError(f"{self.name} needs an integer {f.name}, not {value!r}")
+                if self.minimum and value < self.minimum[0]:
+                    raise ValueError(self.minimum[1])
+            elif not isinstance(value, ModuleSpec):
+                raise ValueError(f"{self.name} needs a module spec as {f.name}, not {value!r}")
+
+    def __str__(self):  # canonical grammar form
+        args = ", ".join(str(getattr(self, f.name)) for f in fields(self))
+        return f"{self.name}({args})" if args else self.name
 
 
 @dataclass(frozen=True)
 class Const(ModuleSpec):
+    name = "const"
+    minimum = (0, "constant module needs rank >= 0")
     rank: int = 1
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("constant module needs rank >= 0")
 
     def __str__(self):
         return "const" if self.rank == 1 else f"const(Z^{self.rank})"
@@ -54,66 +73,48 @@ class Const(ModuleSpec):
 
 @dataclass(frozen=True)
 class Std(ModuleSpec):
-    def __str__(self):
-        return "std"
+    name = "std"
 
 
 @dataclass(frozen=True)
 class DualStd(ModuleSpec):
-    def __str__(self):
-        return "dual"
+    name = "dual"
 
 
 @dataclass(frozen=True)
 class Sum(ModuleSpec):
+    name = "sum"
     left: ModuleSpec
     right: ModuleSpec
-
-    def __str__(self):
-        return f"sum({self.left}, {self.right})"
 
 
 @dataclass(frozen=True)
 class Tensor(ModuleSpec):
+    name = "tensor"
     left: ModuleSpec
     right: ModuleSpec
-
-    def __str__(self):
-        return f"tensor({self.left}, {self.right})"
 
 
 @dataclass(frozen=True)
 class Ext(ModuleSpec):
+    name = "ext"
+    minimum = (0, "exterior power needs t >= 0")
     power: int
     inner: ModuleSpec
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("exterior power needs t >= 0")
-
-    def __str__(self):
-        return f"ext({self.power}, {self.inner})"
 
 
 @dataclass(frozen=True)
 class Hom(ModuleSpec):
+    name = "hom"
     source: ModuleSpec
     target: ModuleSpec
-
-    def __str__(self):
-        return f"hom({self.source}, {self.target})"
 
 
 @dataclass(frozen=True)
 class LieLayer(ModuleSpec):
+    name = "lie"
+    minimum = (1, "Lie layer needs degree >= 1")
     degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("Lie layer needs degree >= 1")
-
-    def __str__(self):
-        return f"lie({self.degree})"
 
 
 def _block_embed(a: Matrix) -> Matrix:
@@ -147,7 +148,7 @@ class BasedModule:
     @cached_property
     def stab(self) -> Matrix:
         """0/1 matrix of the stabilization: each basis label goes to itself at rank r+1."""
-        next_rank = len(_basis(self.spec, self.rank_of_group + 1))
+        next_rank = module_rank(self.spec, self.rank_of_group + 1)
         rows = [[0] * self.rank for _ in range(next_rank)]
         for j, i in enumerate(self.stab_index):
             rows[i][j] = 1
@@ -306,6 +307,9 @@ def based_module_to_json(mod: BasedModule, matrices=()) -> dict:
 
 # --- spec grammar -------------------------------------------------------------
 
+# the regular constructors, by grammar word: name(field, ...), or bare name
+_CONSTRUCTORS = {cls.name: cls for cls in (Std, DualStd, Sum, Tensor, Ext, Hom, LieLayer)}
+
 _TOKEN = re.compile(r"\(x\)|[a-z]+|[0-9]+|Z|[\^(),]")
 
 # Deepest spec that parse_module_spec accepts, one level per constructor:
@@ -391,30 +395,16 @@ class _Parser:
                 k = self.number()
             self.take(")")
             return Const(k)
-        if name == "std":
-            return Std()
-        if name == "dual":
-            return DualStd()
-        if name in ("sum", "tensor", "hom"):
-            self.take("(")
-            first = self.expr(depth + 1)
-            self.take(",")
-            second = self.expr(depth + 1)
+        cls = _CONSTRUCTORS.get(name)
+        if cls is None:
+            raise ValueError(f"unknown module constructor {name!r}")
+        args = []
+        for f in fields(cls):
+            self.take("," if args else "(")
+            args.append(self.number() if f.type == "int" else self.expr(depth + 1))
+        if args:
             self.take(")")
-            return {"sum": Sum, "tensor": Tensor, "hom": Hom}[name](first, second)
-        if name == "ext":
-            self.take("(")
-            t = self.number()
-            self.take(",")
-            inner = self.expr(depth + 1)
-            self.take(")")
-            return Ext(t, inner)
-        if name == "lie":
-            self.take("(")
-            n = self.number()
-            self.take(")")
-            return LieLayer(n)
-        raise ValueError(f"unknown module constructor {name!r}")
+        return cls(*args)
 
 
 def parse_module_spec(text: str) -> ModuleSpec:

@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilstab import modules
 from nilstab.autos import Endo, endo_from_images
@@ -285,9 +287,72 @@ def test_parse_module_spec():
     assert parse_module_spec(" sum( std , lie(2) ) ") == Sum(Std(), LieLayer(2))
 
 
+# str of each ALL_SPECS entry: the canonical form that CLI output and the
+# recorded bench scans print, so it may not change
+ALL_SPEC_TEXTS = [
+    "const",
+    "const(Z^3)",
+    "std",
+    "dual",
+    "sum(std, dual)",
+    "tensor(std, dual)",
+    "ext(2, std)",
+    "ext(0, dual)",
+    "hom(std, ext(2, dual))",
+    "lie(2)",
+    "lie(3)",
+    "hom(std, lie(3))",
+    "hom(hom(std, dual), std)",
+    "hom(ext(2, std), lie(2))",
+    "ext(2, hom(std, lie(2)))",
+    "sum(lie(2), dual)",
+]
+
+
+def test_canonical_form_text():
+    assert [str(spec) for spec in ALL_SPECS] == ALL_SPEC_TEXTS
+
+
 def test_parse_round_trips_canonical_form():
     for spec in ALL_SPECS:
         assert parse_module_spec(str(spec)) == spec
+
+
+def _specs(depth: int):
+    """Specs over all eight constructors, nested at most depth levels."""
+    leaves = (
+        st.sampled_from([Std(), DualStd()])
+        | st.builds(Const, st.integers(0, 4))
+        | st.builds(LieLayer, st.integers(1, 4))
+    )
+    if depth == 1:
+        return leaves
+    inner = _specs(depth - 1)
+    pairs = [st.builds(cls, inner, inner) for cls in (Sum, Tensor, Hom)]
+    return st.one_of(leaves, *pairs, st.builds(Ext, st.integers(0, 4), inner))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=_specs(4))
+def test_parse_round_trips_nested_specs(spec):
+    assert parse_module_spec(str(spec)) == spec
+
+
+def test_parser_table_holds_every_regular_constructor():
+    regular = [cls for cls in modules.ModuleSpec.__subclasses__() if cls is not Const]
+    assert len(regular) == 7
+    for cls in regular:
+        assert modules._CONSTRUCTORS[cls.name] is cls
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [(LieLayer, (2.0,)), (Ext, (True, Std())), (Const, (2.5,)), (Sum, (Std(), 3)), (Hom, (Std(), "std"))],
+)
+def test_spec_arguments_are_typed(cls, args):
+    # each of these printed a form that the grammar cannot read back
+    with pytest.raises(ValueError, match=f"^{cls.name} needs"):
+        cls(*args)
 
 
 def test_parse_errors():
