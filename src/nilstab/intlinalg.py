@@ -413,16 +413,29 @@ def _reduce_column(pivots: dict, c: dict) -> None:
 
 def lattice_basis(cols, dim: int) -> list:
     """Echelon basis (as dense column tuples, by pivot row) of the lattice
-    spanned by the sparse columns cols in Z^dim."""
+    spanned by the sparse columns cols in Z^dim.
+
+    Once every row holds a pivot +-1 the lattice is Z^dim: every later column
+    reduces to zero without touching the table, so the rest are only checked.
+    A unit pivot is never replaced and any other only shrinks to a divisor, so
+    a row still known to hold a non-unit pivot is looked at first.
+    """
     pivots: dict = {}
     seen = set()
+    full = False
+    nonunit = None  # once every row holds a pivot, a row whose pivot is not +-1
     for col in cols:
-        if not col or col in seen:
+        if not col:
             continue
         if col[0][0] < 0 or col[-1][0] >= dim:
             raise ValueError("column has wrong dimension")
+        if full or col in seen:
+            continue
         seen.add(col)
         _reduce_column(pivots, dict(col))
+        if len(pivots) == dim and (nonunit is None or abs(pivots[nonunit][nonunit]) == 1):
+            nonunit = next((i for i, p in pivots.items() if abs(p[i]) != 1), None)
+            full = nonunit is None
     basis = []
     for row in sorted(pivots):
         dense = [0] * dim

@@ -9,6 +9,11 @@ XY - YX), products happen there, and the result is pulled back through the
 triangular system given by the fact that the expansion of a Lyndon monomial
 is its word plus lexicographically larger anagrams.  The same expansion is
 the independent oracle for everything the bracket does.
+
+A matrix acts on each layer by a Lie ring automorphism, so the layer action
+builds the image of a Lyndon monomial [u, v] as the bracket [g.u, g.v] of the
+images of its factors, from cached brackets of basis monomials;
+lie_apply_matrix substitutes into the envelope instead and is its oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .words import (
     check_terms,
     is_lyndon,
     lyndon_words,
+    standard_factorization,
 )
 
 
@@ -193,16 +199,50 @@ def lie_apply_matrix(a, x: LieElement) -> LieElement:
     return lie_from_polynomial(x.rank, x.class_bound, out)
 
 
+@lru_cache(maxsize=None)
+def _basis_bracket(p: tuple, q: tuple) -> dict:
+    """[p, q] of two Lyndon monomials, Lyndon word -> coefficient.
+
+    Uses [q, p] = -[p, q] and [p, p] = 0, and otherwise peels the envelope
+    commutator; it does not depend on the rank, so one cache serves them all.
+    """
+    if p == q:
+        return {}
+    if q < p:
+        return {w: -x for w, x in _basis_bracket(q, p).items()}
+    ep, eq = envelope_polynomial(p), envelope_polynomial(q)
+    deg = len(p) + len(q)
+    return lyndon_coordinates(poly_sub(poly_mul(ep, eq, deg), poly_mul(eq, ep, deg)))
+
+
+@lru_cache(maxsize=None)
+def _layer_index(r: int, n: int) -> dict:
+    """Degree-n Lyndon word -> its position in the basis, in basis order."""
+    return {w: i for i, w in enumerate(lyndon_words(r, n))}
+
+
 def lie_layer_matrix(a, r: int, n: int) -> tuple:
     """Sparse columns of the substitution action on the degree-n Lyndon basis.
 
-    Column i is the image of the i-th basis monomial, as (row, value) pairs.
-    One substitution serves the whole layer; each image is homogeneous of
-    degree n, and its Lyndon coordinates are peeled in increasing word order,
-    which is basis order.
+    Column i is the image of the i-th basis monomial, as (row, value) pairs in
+    increasing row order.  The matrix acts by a Lie ring automorphism, so the
+    image of a Lyndon monomial with standard factorization (u, v) is the sum of
+    x y [p, q] over the terms x p of the image of u and y q of the image of v;
+    the images of the lower-degree factors are built once per call.
     """
-    letters = _letter_images(a, r)
-    words = lyndon_words(r, n)
-    index = {w: i for i, w in enumerate(words)}
-    images = poly_substitute([envelope_polynomial(w) for w in words], letters, n)
-    return tuple(tuple((index[w], c) for w, c in lyndon_coordinates(x).items()) for x in images)
+    images = {(i + 1,): img for i, img in enumerate(_letter_images(a, r))}
+
+    def image(w: tuple) -> dict:
+        out = images.get(w)
+        if out is None:
+            u, v = standard_factorization(w)
+            out = {}
+            right = image(v).items()
+            for p, x in image(u).items():
+                for q, y in right:
+                    add_scaled(out, x * y, _basis_bracket(p, q))
+            images[w] = out
+        return out
+
+    index = _layer_index(r, n)
+    return tuple(tuple(sorted((index[b], x) for b, x in image(w).items())) for w in index)

@@ -115,9 +115,12 @@ def _induced_iso(stab_index: tuple, source: _Coinv, target: _Coinv) -> bool:
     iso = same type + onto.  The image is generated by the classes of the
     unit vectors e_i, i in stab_index, so onto means Z^dim / (L + span e_i)
     = 0, and that quotient is Z^rest / pi(L), pi dropping the stab_index rows.
+    A trivial target presentation means L = Z^dim, which settles both.
     """
     if source.presentation != target.presentation:
         return False
+    if target.presentation.is_trivial():
+        return True
     for col in source.pivots.values():
         image = [0] * target.dim
         for i, x in zip(stab_index, col):

@@ -266,6 +266,28 @@ SCAN_GOLDEN = [
         '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":true,"r":4},'
         '{"free_rank":0,"invariant_factors":[],"map_to_next_is_iso":null,"r":5}]\n',
     ),
+    # Lie layers past degree 3; recorded with each layer taken from one
+    # substitution into the envelopes of its basis monomials
+    (
+        ["scan", "--spec", "lie(4)", "-c", "4", "-r", "1..6"],
+        "scan lie(4) at class 4\n"
+        "  r=1: H_0 = 0; map to r=2 iso: False (coefficient leg False, group leg False)\n"
+        "  r=2: H_0 = Z/2; map to r=3 iso: False (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = 0; map to r=4 iso: True (coefficient leg False, group leg False)\n"
+        "  r=4: H_0 = 0; map to r=5 iso: True (coefficient leg True, group leg True)\n"
+        "  r=5: H_0 = 0; map to r=6 iso: True (coefficient leg True, group leg True)\n"
+        "  r=6: H_0 = 0\n"
+        "  stabilized from r = 3\n",
+    ),
+    (
+        ["scan", "--spec", "lie(5)", "-c", "5", "-r", "1..4"],
+        "scan lie(5) at class 5\n"
+        "  r=1: H_0 = 0; map to r=2 iso: False (coefficient leg False, group leg False)\n"
+        "  r=2: H_0 = Z/2; map to r=3 iso: False (coefficient leg False, group leg False)\n"
+        "  r=3: H_0 = 0; map to r=4 iso: True (coefficient leg False, group leg False)\n"
+        "  r=4: H_0 = 0\n"
+        "  stabilized from r = 3\n",
+    ),
 ]
 
 
@@ -274,7 +296,7 @@ SCAN_GOLDEN = [
     SCAN_GOLDEN,
     ids=[
         "readme-json", "readme-csv", "readme-text", "std-text", "nested-hom-text",
-        "ext2-hom-lie2-text", "ext2-hom-lie2-json",
+        "ext2-hom-lie2-text", "ext2-hom-lie2-json", "lie4-text", "lie5-text",
     ],
 )
 def test_scan_golden_output(capsys, argv, expected):

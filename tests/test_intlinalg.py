@@ -397,6 +397,34 @@ def test_lattice_basis_rejects_rows_out_of_range():
         lattice_basis([((2, 1),)], 2)
 
 
+def test_lattice_basis_stops_once_the_lattice_is_z_dim(monkeypatch):
+    # the columns of a unimodular matrix span Z^dim; duplicates and arbitrary
+    # columns after them neither reach the echelon nor change its basis
+    from nilstab import intlinalg
+    from nilstab.verify import random_unimodular
+
+    reduce_column = intlinalg._reduce_column
+    reduced = []
+
+    def counted(pivots, c):
+        reduced.append(c)
+        return reduce_column(pivots, c)
+
+    monkeypatch.setattr(intlinalg, "_reduce_column", counted)
+    rng = random.Random(27)
+    for dim in range(1, 7):
+        spanning = list(zip(*random_unimodular(rng, dim, factors=8)))
+        extra = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(10)]
+        extra += rng.sample(spanning, len(spanning))
+        reduced.clear()
+        basis = lattice_basis(sparse(spanning + extra), dim)
+        assert len(reduced) == dim
+        assert basis == lattice_basis(sparse(spanning), dim) == dense_echelon(spanning + extra, dim)
+        for bad in ([((dim, 1),)], [((-1, 1),)]):
+            with pytest.raises(ValueError, match="dimension"):
+                lattice_basis(sparse(spanning + extra) + bad, dim)
+
+
 def test_sparse_and_dense_conversions():
     a = ((1, 0, 2), (0, 0, -3))
     cols = sparse_columns(a)

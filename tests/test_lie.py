@@ -20,7 +20,6 @@ from nilstab.words import (
     is_lyndon,
     lyndon_basis,
     lyndon_words,
-    witt_rank,
 )
 
 BIG = 10**9
@@ -278,34 +277,37 @@ def test_lie_layer_matrix_matches_full_substitution():
     from nilstab.lie import lie_layer_matrix
 
     rng = random.Random(74)
-    for r in (1, 2, 3, 4):
-        for n in (1, 2, 3, 4):
-            basis = lyndon_basis(r, n)
-            unimodular = [random_unimodular(rng, r, factors=6) for _ in range(3)]
-            for a in _layer_test_matrices(r) + unimodular:
-                cols = [
-                    lie_apply_matrix(a, LieElement(r, n, {b: 1})).coordinates(basis)
-                    for b in basis
-                ]
-                expected = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
-                sparse = lie_layer_matrix(a, r, n)
-                assert dense_matrix(sparse, len(basis)) == expected
-                for col in sparse:  # rows strictly increasing, no zeros
-                    assert all(x for _, x in col)
-                    assert [i for i, _ in col] == sorted({i for i, _ in col})
+    shapes = [(r, n) for r in (1, 2, 3, 4) for n in (1, 2, 3, 4)]
+    for r, n in shapes + [(5, 3), (6, 3), (3, 5), (2, 8)]:
+        basis = lyndon_basis(r, n)
+        unimodular = [random_unimodular(rng, r, factors=6) for _ in range(3)]
+        for a in _layer_test_matrices(r) + unimodular:
+            cols = [
+                lie_apply_matrix(a, LieElement(r, n, {b: 1})).coordinates(basis) for b in basis
+            ]
+            expected = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
+            sparse = lie_layer_matrix(a, r, n)
+            assert dense_matrix(sparse, len(basis)) == expected
+            for col in sparse:  # rows strictly increasing, no zeros
+                assert all(x for _, x in col)
+                assert [i for i, _ in col] == sorted({i for i, _ in col})
 
 
-def test_lie_layer_matrix_substitutes_once(monkeypatch):
+def test_lie_layer_matrix_brackets_images_across_ranks(monkeypatch):
     from nilstab import lie
+    from nilstab.stability import gl_generators
 
-    substitute = lie.poly_substitute
-    substituted = []
+    def refuse(*_):
+        raise AssertionError("lie_layer_matrix substituted")
 
-    def counted(polys, letter_images, max_deg):
-        substituted.append(len(polys))
-        return substitute(polys, letter_images, max_deg)
-
-    monkeypatch.setattr(lie, "poly_substitute", counted)
-    a = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))  # fixes no letter
-    lie.lie_layer_matrix(a, 4, 3)
-    assert substituted == [witt_rank(4, 3)]
+    monkeypatch.setattr(lie, "poly_substitute", refuse)
+    lie._basis_bracket.cache_clear()
+    for a in gl_generators(3):
+        lie.lie_layer_matrix(a, 3, 4)
+    misses = lie._basis_bracket.cache_info().misses
+    assert misses > 0
+    # each rank-2 generator is the top-left block of a rank-3 one, so its
+    # layer brackets only pairs of Lyndon monomials the rank-3 layers did
+    for a in gl_generators(2):
+        lie.lie_layer_matrix(a, 2, 4)
+    assert lie._basis_bracket.cache_info().misses == misses

@@ -289,6 +289,29 @@ def test_onto_by_projection_matches_unit_vectors(case):
     assert _induced_iso(tuple(stab_index), source, target) is expected.is_trivial()
 
 
+def test_induced_iso_between_trivial_presentations(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a trivial target needs no lattice work")
+
+    monkeypatch.setattr(stability, "_reduce", refuse)
+    monkeypatch.setattr(stability, "cokernel_presentation", refuse)
+    trivial = FinAbPresentation(0, ())
+    unit = {i: tuple(int(i == j) for j in range(3)) for i in range(3)}
+    source = _Coinv(2, {0: (1, 0), 1: (0, 1)}, trivial)
+    assert _induced_iso((0, 2), source, _Coinv(3, unit, trivial)) is True
+    # only the source trivial: the target is Z, or Z/2 with a pivot 2
+    free = _Coinv(3, {0: unit[0], 1: unit[1]}, FinAbPresentation(1, ()))
+    torsion = _Coinv(3, {**free.pivots, 2: (0, 0, 2)}, FinAbPresentation(0, (2,)))
+    assert _induced_iso((0, 2), source, free) is False
+    assert _induced_iso((0, 2), source, torsion) is False
+    # the scan's own coinvariants of a module with H_0 = 0 at both ranks
+    mods = [eval_module(Tensor(LieLayer(3), DualStd()), r) for r in (3, 4)]
+    small, big = (
+        _coinv([m.action(a) for a in gl_generators(m.rank_of_group)], m.rank) for m in mods
+    )
+    assert _induced_iso(mods[0].stab_index, small, big) is True
+
+
 def test_coinv_echelons_once(monkeypatch):
     calls = []
 
