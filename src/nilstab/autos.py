@@ -12,8 +12,9 @@ residual check covers every word of P that the images carry.  A word outside
 P still has an image on P, so each element enters with its full series.
 
 The endomorphism that compose returns keeps its images' series on P, so a
-later substitution by it reads its letters with no embedding; any other
-endomorphism's images are embedded in full and cut to P.
+later substitution by it reads its letters as they are; any other
+endomorphism's letters are its images' basic powers multiplied out on P
+(group._product_on_support, the walk of mul, inv and comm).
 
 The projection to class c-1, the set-theoretic lift back, and the mutually
 inverse maps between the kernel of the projection and integer matrices (one
@@ -23,9 +24,11 @@ the collected form, with no group product: a kernel automorphism sends x_i to
 x_i z_i with z_i central of degree c, so its image has exponent 1 at x_i,
 z_i's exponents at degree c, and no other.  abelianization_matrix reads the
 degree-1 exponents.  invert climbs the same tower: it inverts the
-abelianization and then, one class at a time, lifts the inverse so far and
-cancels its defect, a kernel element, with flat and sharp.  So this module
-does no group products at all.
+abelianization and then, one class at a time, lifts the inverse so far,
+reads its left defect, a kernel element, with flat, and cancels it in closed
+form: sharp(beta) sends any g to g times a central element of top degree,
+which adds to g's top-degree exponents, so the correction takes no
+substitution.  So this module multiplies no two group elements.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from dataclasses import dataclass, field
 from . import intlinalg
 from .group import (
     GroupElement,
+    _factors,
     _json_fields,
     _peel,
+    _product_on_support,
     element_from_json,
     element_to_json,
     magnus_embed,
@@ -46,8 +51,7 @@ from .series import poly_substitute
 from .words import (
     LyndonBasisElement,
     lyndon_basis,
-    lyndon_factor_splits,
-    lyndon_factors,
+    lyndon_factor_positions,
     witt_rank,
 )
 
@@ -86,15 +90,12 @@ def endo_from_images(images) -> Endo:
 
 
 def _letters(e: Endo) -> tuple:
-    """The series of e's images on P(r, c): kept by compose, or embedded in full
-    and cut to P."""
+    """The series of e's images on P(r, c): kept by compose, or each image's
+    basic powers multiplied out on P (group._product_on_support), the walk
+    of mul, inv and comm."""
     if e._on_factors:
         return e._on_factors
-    factors = lyndon_factors(e.rank, e.class_bound)
-    return tuple(
-        {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
-        for img in e.images
-    )
+    return tuple(_product_on_support(e.rank, e.class_bound, _factors(img)) for img in e.images)
 
 
 def _substitute(e: Endo, elements) -> tuple:
@@ -103,7 +104,7 @@ def _substitute(e: Endo, elements) -> tuple:
     r, c = e.rank, e.class_bound
     # X_i goes to embed(image) - 1; the substitution never reads a constant term
     series = [magnus_embed(g).coefficients for g in elements]
-    on_factors = poly_substitute(series, _letters(e), c, lyndon_factor_splits(r, c))
+    on_factors = poly_substitute(series, _letters(e), c, lyndon_factor_positions(r, c))
     images = tuple(GroupElement(r, c, _peel(r, c, out)) for out in on_factors)
     return images, tuple(on_factors)
 
@@ -147,12 +148,14 @@ def endo_from_matrix(a, rank: int, class_bound: int) -> Endo:
 
 
 def invert(e: Endo) -> Endo:
-    """Two-sided inverse, climbed up the tower one class at a time.
+    """Two-sided inverse, climbed up the tower one class at a time, with one
+    substitution per class.
 
-    f inverts e's class-(k-1) quotient e_(k-1), so e_k lift(f) projects to the
-    identity: it is the kernel element sharp(beta), and f sharp(-beta) inverts
-    e_k.  A left inverse of an automorphism is two-sided (f.g. nilpotent
-    groups are Hopfian), so one compose(f, e) certifies the result.
+    f inverts e's class-(k-1) quotient e_(k-1), so lift(f) e_k projects to the
+    identity: it is the kernel element sharp(beta), and sharp(-beta) lift(f)
+    is a left inverse of e_k, made in closed form by _sharp_after.  A left
+    inverse of an automorphism is two-sided (f.g. nilpotent groups are
+    Hopfian), so one compose(f, e) certifies the result.
     """
     if not is_automorphism(e):
         raise ValueError("not invertible: abelianization determinant is not +-1")
@@ -164,10 +167,10 @@ def invert(e: Endo) -> Endo:
     for e_k in reversed(quotients[:-1]):
         f = lift(f)
         try:
-            beta = flat(compose(e_k, f))
+            beta = flat(compose(f, e_k))
         except ValueError as err:  # f inverts e_(k-1), so only a fault gets here
             raise AssertionError(f"inverse climbed to class {e_k.class_bound}: {err}") from None
-        f = compose(f, sharp(-beta))
+        f = _sharp_after(-beta, f)
     if compose(f, e) != Endo.identity(e.rank, e.class_bound):
         raise AssertionError("climbed inverse is not a left inverse")
     return f
@@ -267,6 +270,24 @@ def sharp(beta: HomMap) -> Endo:
         exps = {b: row[i] for b, row in zip(basis, beta.matrix)}
         x_i = LyndonBasisElement((i + 1,))
         exps[x_i] = exps.get(x_i, 0) + 1  # at class 1 the column holds x_i too
+        images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros
+    return Endo(r, c, tuple(images))
+
+
+def _sharp_after(beta: HomMap, f: Endo) -> Endo:
+    """compose(sharp(beta), f) with no substitution.  sharp(beta) sends any g
+    to g times the central element with coordinates beta (degree-1 exponents
+    of g), and a central factor of top degree adds to g's top-degree
+    exponents; so f(x_i) gains column i of beta A at degree c, with A the
+    abelianization of f."""
+    r, c = f.rank, f.class_bound
+    shift = intlinalg.matmul(beta.matrix, abelianization_matrix(f))
+    basis = lyndon_basis(r, c)
+    images = []
+    for i, img in enumerate(f.images):
+        exps = dict(img.exponents)
+        for b, row in zip(basis, shift):
+            exps[b] = exps.get(b, 0) + row[i]
         images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros
     return Endo(r, c, tuple(images))
 

@@ -84,12 +84,14 @@ def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
     return _mul_buckets([x for x in a_deg if x[0]], [x for x in b_deg if x[0]], max_deg, out)
 
 
-def left_mul_on(p: dict, t: dict, splits: dict, out: dict) -> dict:
+def left_mul_on(p: dict, t: dict, splits: dict | tuple, out: dict) -> dict:
     """out += (p - p[()]) t read on P(r, c), in place.
 
-    splits is P's table by the right part (words.lyndon_factor_splits): each
-    v in P with the pairs (u, uv), u nonempty, that lie in P.  t must be
-    supported on P; p is read only at the nonempty words of P.
+    splits is P's table by the right part: each v in P with the pairs (u, uv),
+    u nonempty, that lie in P.  The walk reads p, t and out only through the
+    keys that splits uses, words (words.lyndon_factor_splits) or their
+    positions (words.lyndon_factor_positions), so all three are keyed alike.
+    t must be supported on P; p is read only at the nonempty words of P.
     """
     get, p_get = out.get, p.get
     for v, cv in t.items():
@@ -125,22 +127,25 @@ def left_mul_by(p: dict, t: dict, prefix_splits: dict, out: dict) -> dict:
     return out
 
 
-def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = None) -> list:
+def poly_substitute(polys, letter_images, max_deg: int, support: tuple | None = None) -> list:
     """Ring substitution X_i -> letter_images[i - 1] of each of polys, truncated at max_deg.
 
     Each word's image is the image of its first letter times the image of
     the rest.  One suffix table serves every polynomial, so words sharing a
     suffix, in one polynomial or across them, share that product.
 
-    With support, P(r, c)'s table by the right part (see left_mul_on), every
+    With support, P(r, c) by position (words.lyndon_factor_positions), every
     image is kept on P only: a left product read on P reads its right factor
     on P alone, so the results are exact on P.  The letter images are then
     read only at the nonempty words of P, so they may be given on P, and
-    their constant terms are never read.
+    their constant terms are never read.  The letters and every suffix image
+    are keyed by position, and each result is summed in a list indexed by
+    position and turned back into words once.
     """
     if support is None:
         letters = [_by_degree(image, max_deg) for image in letter_images]
         tail_buckets: dict = {}
+        one = ()
 
         def times_letter(i: int, tail: tuple, image: dict) -> dict:
             buckets = tail_buckets.get(tail)
@@ -148,12 +153,30 @@ def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = N
                 buckets = tail_buckets[tail] = _by_degree(image, max_deg)
             return _mul_buckets(letters[i - 1], buckets, max_deg, {})
 
+        def added_up(poly: dict) -> dict:
+            out: dict = {}
+            for word, coeff in poly.items():
+                add_scaled(out, coeff, substituted(word))
+            return out
+
     else:
+        words, position, splits = support
+        letters = [
+            {position[w]: x for w, x in image.items() if w in position} for image in letter_images
+        ]
+        one = position[()]
 
         def times_letter(i: int, tail: tuple, image: dict) -> dict:
-            return left_mul_on(letter_images[i - 1], image, support, {})
+            return left_mul_on(letters[i - 1], image, splits, {})
 
-    suffix_cache: dict = {(): {(): 1}}
+        def added_up(poly: dict) -> dict:
+            acc = [0] * len(words)
+            for word, coeff in poly.items():
+                for i, x in substituted(word).items():
+                    acc[i] += coeff * x
+            return {words[i]: x for i, x in enumerate(acc) if x}
+
+    suffix_cache: dict = {(): {one: 1}}
 
     def substituted(word: tuple) -> dict:
         cached = suffix_cache.get(word)
@@ -162,12 +185,7 @@ def poly_substitute(polys, letter_images, max_deg: int, support: dict | None = N
             cached = suffix_cache[word] = times_letter(word[0], tail, substituted(tail))
         return cached
 
-    images = []
-    for poly in polys:
-        out: dict = {}
-        for word, coeff in poly.items():
-            add_scaled(out, coeff, substituted(word))
-        images.append(out)
+    images = [added_up(poly) for poly in polys]
     # substituted refers to itself, a cycle that only the garbage collector
     # frees: empty the cache now so the word images go with this call
     suffix_cache.clear()

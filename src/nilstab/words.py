@@ -122,6 +122,21 @@ def lyndon_factor_splits(r: int, c: int) -> dict:
     return {v: tuple(pairs) for v, pairs in splits.items()}
 
 
+@lru_cache(maxsize=None)
+def lyndon_factor_positions(r: int, c: int) -> tuple:
+    """P(r, c) by position: (words, position, splits).  words lists P in
+    (length, word) order, position maps each word to its index there, and
+    splits[i] holds the pairs of lyndon_factor_splits for words[i] as
+    positions, the same walk keyed by small integers in place of tuples."""
+    words = tuple(sorted(lyndon_factors(r, c), key=lambda w: (len(w), w)))
+    position = {w: i for i, w in enumerate(words)}
+    by_word = lyndon_factor_splits(r, c)
+    splits = tuple(
+        tuple((position[u], position[x]) for u, x in by_word[v]) for v in words
+    )
+    return words, position, splits
+
+
 def standard_factorization(word: tuple) -> tuple[tuple, tuple]:
     """Split word = u.v with v the lexicographically smallest proper suffix."""
     if len(word) < 2:

@@ -29,6 +29,7 @@ from nilstab.autos import (
 from nilstab.group import (
     GroupElement,
     NotAGroupElement,
+    _factors,
     comm,
     inv,
     magnus_embed,
@@ -108,29 +109,29 @@ def test_compose_substitutes_once(monkeypatch):
 @pytest.mark.parametrize("r, c", [(3, 4), (4, 4), (3, 5), (2, 6)])
 def test_compose_result_substitutes_by_its_carried_series(r, c, monkeypatch):
     # a compose result keeps its images' series on P; the same images in a
-    # fresh Endo carry none and are embedded in full, and a fresh second
+    # fresh Endo carry none and are multiplied out on P, and a fresh second
     # operand carries no series that could be read in place of the first's
     rng = random.Random(f"carried/{r}/{c}")
-    embedded = []
-    embed = autos.magnus_embed
+    walked = []
+    walk = autos._product_on_support
 
-    def counted(g):
-        embedded.append(g)
-        return embed(g)
+    def counted(rank, class_bound, factors):
+        walked.append(factors)
+        return walk(rank, class_bound, factors)
 
-    monkeypatch.setattr(autos, "magnus_embed", counted)
+    monkeypatch.setattr(autos, "_product_on_support", counted)
     for _ in range(2):
         e = compose(random_automorphism(rng, r, c), random_automorphism(rng, r, c))
         other = random_automorphism(rng, r, c)
         g = random_group_element(rng, r, c)
-        embedded.clear()
+        walked.clear()
         carried = (compose(e, other), apply_endo(e, g))
-        assert not any(x is img for x in embedded for img in e.images)
+        assert not walked
         fresh = Endo(r, c, e.images)
-        embedded.clear()
+        walked.clear()
         assert (compose(fresh, Endo(r, c, other.images)), apply_endo(fresh, g)) == carried
-        # the fresh Endo's letters are embedded in each of the two calls
-        assert sum(any(x is img for img in e.images) for x in embedded) == 2 * r
+        # the fresh Endo's letters are walked in each of the two calls
+        assert walked == 2 * [_factors(img) for img in e.images]
 
 
 def test_carried_series_are_set_by_compose_only():
@@ -295,21 +296,79 @@ def test_invert_composes_little_at_the_top_class(monkeypatch):
     assert compose(e, f) == Endo.identity(4, 4)
 
 
+@pytest.mark.parametrize("r,c", [(2, 2), (3, 4), (4, 4), (3, 6), (2, 8)])
+def test_sharp_after_is_compose_with_sharp(r, c):
+    # the closed-form correction against the substitution it stands for
+    rng = random.Random(f"sharp-after/{r}/{c}")
+    f = random_automorphism(rng, r, c)
+    for beta in (HomMap.zero(r, c), random_hom_map(rng, r, c)):
+        assert autos._sharp_after(beta, f) == compose(sharp(beta), f)
+
+
+@pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4), (2, 6)])
+def test_invert_substitutes_once_per_class(r, c, monkeypatch):
+    # one defect per class 2..c and the final check; the corrections take no sharp
+    substituted, sharps = [], []
+
+    def counted(polys, letter_images, max_deg, support=None):
+        substituted.append(max_deg)
+        return poly_substitute(polys, letter_images, max_deg, support)
+
+    def recorded(beta):
+        sharps.append(beta)
+        return sharp(beta)
+
+    e = random_automorphism(random.Random(f"substitutions/{r}/{c}"), r, c)
+    monkeypatch.setattr(autos, "poly_substitute", counted)
+    monkeypatch.setattr(autos, "sharp", recorded)
+    invert(e)
+    assert sorted(substituted) == [*range(2, c + 1), c]
+    assert not sharps
+
+
+@pytest.mark.parametrize("r,c", [(3, 6), (2, 8)])
+@pytest.mark.parametrize("seed", range(3))
+def test_invert_is_two_sided_at_depth(r, c, seed):
+    e = random_automorphism(random.Random(f"two-sided/{r}/{c}/{seed}"), r, c)
+    f = invert(e)
+    ident = Endo.identity(r, c)
+    assert compose(e, f) == ident
+    assert compose(f, e) == ident
+
+
+@pytest.mark.parametrize("r,c", [(2, 3), (3, 4), (4, 4), (3, 6)])
+def test_letters_of_a_fresh_endo_are_its_series_on_p(r, c, monkeypatch):
+    # multiplied out on P with no full embedding, and equal to the embedding cut to P
+    rng = random.Random(f"letters/{r}/{c}")
+    e = Endo(r, c, tuple(random_group_element(rng, r, c) for _ in range(r)))
+    factors = lyndon_factors(r, c)
+    expected = tuple(
+        {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
+        for img in e.images
+    )
+    embedded = []
+    monkeypatch.setattr(autos, "magnus_embed", lambda g: embedded.append(g) or magnus_embed(g))
+    fresh = Endo(r, c, tuple(GroupElement(r, c, dict(g.exponents)) for g in e.images))
+    assert autos._letters(fresh) == expected
+    assert not embedded
+
+
 @pytest.mark.parametrize("r,c", [(2, 2), (3, 4)])
 def test_invert_certifies_its_result(r, c, monkeypatch):
     e = compose(
         random_automorphism(random.Random(38), r, c),
         sharp(HomMap.basis_element(r, c, 0, 0)),
     )
+    correct = autos._sharp_after
     for wrong_class in range(2, c + 1):
 
-        def wrong_at(beta, wrong_class=wrong_class):
-            # the correct map at every class but one, the identity at that one
+        def wrong_at(beta, f, wrong_class=wrong_class):
+            # the correction at every class but one, none at that one
             if beta.class_of_target == wrong_class:
-                return Endo.identity(r, wrong_class)
-            return sharp(beta)
+                return f
+            return correct(beta, f)
 
-        monkeypatch.setattr(autos, "sharp", wrong_at)
+        monkeypatch.setattr(autos, "_sharp_after", wrong_at)
         # the top class fails the final check; a lower one leaves the next
         # class's defect outside the kernel, which flat refuses
         message = (

@@ -544,14 +544,14 @@ def test_failed_assertion_is_an_internal_error(capsys, monkeypatch):
 def test_broken_invert_below_the_top_is_an_internal_error(capsys, monkeypatch):
     from nilstab import autos
 
-    sharp = autos.sharp
+    correct = autos._sharp_after
 
-    def wrong_at_class_two(beta):
+    def wrong_at_class_two(beta, f):
         if beta.class_of_target == 2:
-            return autos.Endo.identity(beta.rank, 2)
-        return sharp(beta)
+            return f
+        return correct(beta, f)
 
-    monkeypatch.setattr(autos, "sharp", wrong_at_class_two)
+    monkeypatch.setattr(autos, "_sharp_after", wrong_at_class_two)
     result = run(capsys, "verify", "-r", "3", "-c", "4")
     assert _internal_error(result)
     assert "inverse climbed to class 3: not in kernel" in result[2]

@@ -48,6 +48,7 @@ from nilstab.words import (
     LyndonBasisElement,
     graded_basis,
     is_lyndon,
+    lyndon_factor_positions,
     lyndon_factor_splits,
     lyndon_factors,
     lyndon_prefix_splits,
@@ -213,7 +214,7 @@ def test_poly_substitute_on_a_support_is_the_full_substitution_there():
         polys = [_random_poly(rng, r, c, 8) for _ in range(rng.randint(1, 3))] + [{}]
         images = [_random_poly(rng, r, c, rng.choice((0, 1, 1, 3, 8)), min_deg=1) for _ in range(r)]
         full = poly_substitute(polys, images, c)
-        assert poly_substitute(polys, images, c, splits) == [
+        assert poly_substitute(polys, images, c, lyndon_factor_positions(r, c)) == [
             {w: x for w, x in image.items() if w in splits} for image in full
         ]
 

@@ -8,6 +8,7 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_basis,
+    lyndon_factor_positions,
     lyndon_factor_splits,
     lyndon_factors,
     lyndon_prefix_splits,
@@ -176,6 +177,18 @@ def test_lyndon_prefix_splits_hold_the_suffix_table_triples(r, c):
     assert by_prefix == by_suffix
     assert all(u and pairs for u, pairs in prefix.items())
     assert set(prefix) == lyndon_factors(r, c) - {()}
+
+
+@pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (3, 4), (3, 6), (2, 8)])
+def test_lyndon_factor_positions_index_the_suffix_table(r, c):
+    # the table by the right part with every word replaced by its position
+    words, position, splits = lyndon_factor_positions(r, c)
+    assert set(words) == lyndon_factors(r, c) and len(words) == len(position)
+    assert all(words[i] == w for w, i in position.items())
+    by_word = lyndon_factor_splits(r, c)
+    assert len(splits) == len(words)
+    for v, pairs in zip(words, splits):
+        assert tuple((words[u], words[x]) for u, x in pairs) == by_word[v]
 
 
 @pytest.mark.parametrize(
