@@ -4,7 +4,8 @@ An endomorphism is its list of generator images.  Applying one to an element
 happens on the Magnus side: the ring substitution X_i -> embed(image_i) - 1
 followed by the peel, group._peel.  The images are kept on P(r, c) only, the
 empty word and every factor of a Lyndon word of length <= c (124 of the 340
-nonempty words at (4,4)), the word set of all group arithmetic: P is
+nonempty words at (4,4)), the word set of all group arithmetic, and keyed by
+position there (words.lyndon_factor_positions), as the peel reads them: P is
 suffix-closed, so the image of a word w, L_(w_1) * image(w[1:]), read on P
 needs image(w[1:]) on P alone, and it reads the letter image L_(w_1) only at
 the nonempty words of P.  Each image is peeled as it is, so the peel's
@@ -28,7 +29,8 @@ abelianization and then, one class at a time, lifts the inverse so far,
 reads its left defect, a kernel element, with flat, and cancels it in closed
 form: sharp(beta) sends any g to g times a central element of top degree,
 which adds to g's top-degree exponents, so the correction takes no
-substitution.  So this module multiplies no two group elements.
+substitution; sharp itself is that correction applied to the identity.  So
+this module multiplies no two group elements.
 """
 
 from __future__ import annotations
@@ -48,12 +50,7 @@ from .group import (
     truncate,
 )
 from .series import poly_substitute
-from .words import (
-    LyndonBasisElement,
-    lyndon_basis,
-    lyndon_factor_positions,
-    witt_rank,
-)
+from .words import lyndon_basis, lyndon_factor_positions, witt_rank
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ class Endo:
     rank: int
     class_bound: int
     images: tuple  # r GroupElements
-    # empty, or the images' series on P(r, c), one dict per image; set by compose only
+    # empty, or the images' series on P(r, c) by position, one dict per image;
+    # set by compose only
     _on_factors: tuple = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
@@ -90,9 +88,9 @@ def endo_from_images(images) -> Endo:
 
 
 def _letters(e: Endo) -> tuple:
-    """The series of e's images on P(r, c): kept by compose, or each image's
-    basic powers multiplied out on P (group._product_on_support), the walk
-    of mul, inv and comm."""
+    """The series of e's images on P(r, c) by position: kept by compose, or
+    each image's basic powers multiplied out on P (group._product_on_support),
+    the walk of mul, inv and comm."""
     if e._on_factors:
         return e._on_factors
     return tuple(_product_on_support(e.rank, e.class_bound, _factors(img)) for img in e.images)
@@ -100,7 +98,8 @@ def _letters(e: Endo) -> tuple:
 
 def _substitute(e: Endo, elements) -> tuple:
     """e applied to each element, by one ring substitution on their Magnus series
-    read on P(r, c), each output peeled as it is: the images and their series on P."""
+    read on P(r, c), each output peeled as it is: the images and their series
+    on P by position."""
     r, c = e.rank, e.class_bound
     # X_i goes to embed(image) - 1; the substitution never reads a constant term
     series = [magnus_embed(g).coefficients for g in elements]
@@ -263,15 +262,7 @@ def flat(alpha: Endo) -> HomMap:
 def sharp(beta: HomMap) -> Endo:
     """Generator x_i goes to (central element with coordinates column i) * x_i:
     the collected form with column i's exponents at degree c plus 1 at x_i."""
-    r, c = beta.rank, beta.class_of_target
-    basis = lyndon_basis(r, c)
-    images = []
-    for i in range(r):
-        exps = {b: row[i] for b, row in zip(basis, beta.matrix)}
-        x_i = LyndonBasisElement((i + 1,))
-        exps[x_i] = exps.get(x_i, 0) + 1  # at class 1 the column holds x_i too
-        images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros
-    return Endo(r, c, tuple(images))
+    return _sharp_after(beta, Endo.identity(beta.rank, beta.class_of_target))
 
 
 def _sharp_after(beta: HomMap, f: Endo) -> Endo:

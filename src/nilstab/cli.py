@@ -236,6 +236,7 @@ def cmd_aut_lift(args) -> int:
         )
     elif args.endo is not None:
         endo = endo_from_json(_read_json_arg(args.endo))
+        _bounds(args, endo.rank, endo.class_bound)
     else:
         raise UsageError("give an endomorphism JSON or --images")
     if not is_automorphism(endo):

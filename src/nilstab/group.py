@@ -11,19 +11,20 @@ has the linear power B^e = 1 + e(B - 1), and such factors multiply by addition:
 the embed and the peel sum them; only degrees <= c/2 take series products.
 
 All of it runs on P(r, c), the empty word and every factor of a Lyndon word
-of length <= c (words.lyndon_factors; 340 of the 1,092 nonempty words at
-(3,6)).  P holds every prefix and every suffix of its words, so a product
-p t read on P is exact there and reads p and t on P alone.  The peel reads
-only Lyndon-word coefficients, which determine the exponents through
-unitriangular systems, and ends by checking that the residual is 1 on all of
-P.  mul, inv and comm never build a full series: they list the basic powers
+of length <= c (340 of the 1,092 nonempty words at (3,6)), and keys every
+series on P by a word's position in words.lyndon_factor_positions, the one
+table of P.  P holds every prefix and every suffix of its words, so a
+product p t read on P is exact there and reads p and t on P alone.  The
+peel reads only Lyndon-word coefficients, which determine the exponents
+through unitriangular systems, and ends by checking that the residual is 1
+on all of P.  mul, inv and comm never build a full series: they list the basic powers
 of their result as a product (g's factors then h's; g's reversed and
 negated; four such lists for g^-1 h^-1 g h), multiply them on P one left
 factor at a time, from the last to the first, with B^e from the cached
 powers of B - 1 on P, and peel the result.  A run of factors of degree > c/2
 enters as one linear step.  These products, the powers and the peel's
 divisions walk the words of the sparse left factor (series.left_mul_by over
-words.lyndon_prefix_splits), not those of the dense right factor.  Their
+the table's prefix_splits), not those of the dense right factor.  Their
 results carry no cached series.
 
 _basic_series, the one cache of basic-commutator series that the embed, the
@@ -34,9 +35,10 @@ only up to degree c - len(w).
 The full-series path stays the independent oracle: magnus_embed multiplies
 poly_unit_pow powers with unit products (series.unit_mul, which multiplies
 out only the terms whose degrees can still pair), and series.poly_mul and
-series.poly_group_commutator multiply every pair of terms.  magnus_peel
-peels a full series read on P and accepts it only if the embedding of the
-result is that series: a series has at most one candidate preimage.
+series.poly_group_commutator multiply every pair of terms.  Full series stay
+keyed by word; magnus_peel cuts one to P by position, peels it and accepts
+it only if the embedding of the result is that series: a series has at
+most one candidate preimage.
 
 Group commutator convention, used everywhere: [g, h] = g^-1 h^-1 g h.
 """
@@ -63,8 +65,7 @@ from .words import (
     basis_terms,
     check_terms,
     lyndon_basis,
-    lyndon_factors,
-    lyndon_prefix_splits,
+    lyndon_factor_positions,
     standard_factorization,
     witt_rank,
 )
@@ -88,10 +89,11 @@ def _basic_series(r: int, c: int, word: tuple) -> dict:
 @lru_cache(maxsize=None)
 def _basic_powers(r: int, c: int, word: tuple) -> tuple:
     """The powers N, N^2, ..., N^(c // len(word)) of N = B - 1 for the basic
-    commutator B of a Lyndon word, read on P(r, c), each one left product by
-    N on P; N has least degree len(word), so the next power is truncated away."""
-    prefix_splits = lyndon_prefix_splits(r, c)
-    n = {w: x for w, x in _basic_series(r, c, word).items() if w in prefix_splits}
+    commutator B of a Lyndon word, read on P(r, c) by position, each one left
+    product by N on P; N has least degree len(word), so the next power is
+    truncated away."""
+    _, position, _, prefix_splits = lyndon_factor_positions(r, c)
+    n = {position[w]: x for w, x in _basic_series(r, c, word).items() if w and w in position}
     powers = [n]
     for _ in range(c // len(word) - 1):
         powers.append(left_mul_by(n, powers[-1], prefix_splits, {}))
@@ -104,7 +106,7 @@ def _basic_power(r: int, c: int, word: tuple, e: int) -> dict:
     C(e, k) = C(e, k-1) * (e-k+1) / k is an exact integer for every integer e;
     the sum ends once C(e, k) = 0 (0 <= e < k) or N^k is truncated away.
     """
-    out = {(): 1}
+    out = {0: 1}
     binom = 1
     for k, power in enumerate(_basic_powers(r, c, word), 1):
         binom = binom * (e - k + 1) // k
@@ -182,36 +184,44 @@ def magnus_embed(g: GroupElement) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _envelope_table(r: int, n: int) -> tuple:
-    """The degree-n envelopes on the Lyndon words: for each basis element b of
-    degree n, in increasing order, the pairs (v, coefficient of v in env(b)) for
-    the Lyndon words v > b.word of degree n.  The envelope of a Lyndon word is
+def _envelope_table(r: int, c: int, n: int) -> tuple:
+    """The degree-n envelopes on the Lyndon words, by position in P(r, c): for
+    each basis element b of degree n, in increasing order, b, the position of
+    b.word and the pairs (position of v, coefficient of v in env(b)) for the
+    Lyndon words v > b.word of degree n.  The envelope of a Lyndon word is
     the word plus larger words, so the system is unitriangular."""
+    position = lyndon_factor_positions(r, c).position
     basis = lyndon_basis(r, n)
     lyndon = {b.word for b in basis}
     table = []
     for b in basis:
         env = envelope_polynomial(b.word)
-        table.append((b, tuple((v, x) for v, x in env.items() if v in lyndon and v != b.word)))
+        later = tuple((position[v], x) for v, x in env.items() if v in lyndon and v != b.word)
+        table.append((b, position[b.word], later))
     return tuple(table)
 
 
 @lru_cache(maxsize=None)
 def _tail_basis(r: int, c: int) -> tuple:
-    """The basis elements of degree > c/2, in basis order."""
-    return tuple(b for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n))
+    """The basis elements of degree > c/2, in basis order, each with the
+    position of its word in P(r, c)."""
+    position = lyndon_factor_positions(r, c).position
+    return tuple(
+        (b, position[b.word]) for n in range(c // 2 + 1, c + 1) for b in lyndon_basis(r, n)
+    )
 
 
 def _peel(r: int, c: int, coeffs: dict) -> dict:
-    """Exponent dict of a group element from its Magnus series read on P(r, c),
-    or raise NotAGroupElement.
+    """Exponent dict of a group element from its Magnus series read on P(r, c)
+    and keyed by position (words.lyndon_factor_positions), or raise
+    NotAGroupElement; a series keyed by word has no constant term there.
 
-    P is the empty word and every factor of a Lyndon word of length <= c
-    (words.lyndon_factors).  Reads only Lyndon-word coefficients of the
-    residual t, a copy of coeffs.  Degree n <= c/2: the degree-n Lie part of t
-    has the coordinates that forward substitution over the degree-n envelope
-    table finds in them; then (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t,
-    one left factor at a time, each exact on P.  Degrees > c/2: these factors
+    P is the empty word and every factor of a Lyndon word of length <= c.
+    Reads only Lyndon-word coefficients of the residual t, a copy of coeffs.
+    Degree n <= c/2: the degree-n Lie part of t has the coordinates that
+    forward substitution over the degree-n envelope table finds in them;
+    then (B_1^e_1 ... B_k^e_k)^-1 t = B_k^-e_k ... B_1^-e_1 t, one left
+    factor at a time, each exact on P.  Degrees > c/2: these factors
     multiply by addition, so what is left is 1 + sum e_b (B_b - 1), and
     B_b - 1 is b plus words later in basis order: each e_b is t's coefficient
     on b once the earlier e(B - 1) are subtracted.  The residual must then be
@@ -219,16 +229,16 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
     computed from group elements, but cannot decide whether a series lies in
     the image; magnus_peel decides it by re-embedding the result.
     """
-    if coeffs.get((), 0) != 1:
+    if coeffs.get(0) != 1:
         raise NotAGroupElement("constant term is not 1")
-    prefix_splits = lyndon_prefix_splits(r, c)
+    prefix_splits = lyndon_factor_positions(r, c).prefix_splits
     t = dict(coeffs)
     exps: dict = {}
     for n in range(1, c // 2 + 1):
         coords = []
         taken: dict = {}
-        for b, later in _envelope_table(r, n):
-            e = t.get(b.word, 0) - taken.get(b.word, 0)
+        for b, i, later in _envelope_table(r, c, n):
+            e = t.get(i, 0) - taken.get(i, 0)
             if e:
                 coords.append((b, e))
                 for v, x in later:
@@ -236,12 +246,12 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
         for b, e in coords:
             exps[b] = e
             t = left_mul_by(_basic_power(r, c, b.word, -e), t, prefix_splits, dict(t))
-    for b in _tail_basis(r, c):
-        e = t.get(b.word)
+    for b, i in _tail_basis(r, c):
+        e = t.get(i)
         if e:
             exps[b] = e
             add_scaled(t, -e, _basic_powers(r, c, b.word)[0])
-    if t != {(): 1}:
+    if t != {0: 1}:
         raise NotAGroupElement("nonzero residual after peeling all degrees")
     return exps
 
@@ -249,12 +259,13 @@ def _peel(r: int, c: int, coeffs: dict) -> dict:
 def magnus_peel(s: TruncatedSeries) -> GroupElement:
     """Inverse of magnus_embed on its image; errors on anything else.
 
-    Peels s read on P(r, c), then re-embeds the only candidate preimage:
-    s is in the image exactly when that embedding is s.
+    Peels s read on P(r, c) by position, then re-embeds the only candidate
+    preimage: s is in the image exactly when that embedding is s.
     """
     r, c = s.rank, s.class_bound
-    factors = lyndon_factors(r, c)
-    g = GroupElement(r, c, _peel(r, c, {w: x for w, x in s.coefficients.items() if w in factors}))
+    position = lyndon_factor_positions(r, c).position
+    on_p = {position[w]: x for w, x in s.coefficients.items() if w in position}
+    g = GroupElement(r, c, _peel(r, c, on_p))
     if magnus_embed(g).coefficients != s.coefficients:
         raise NotAGroupElement("the series differs from the embedding of its peel")
     return g
@@ -270,7 +281,8 @@ def _inverse_factors(g: GroupElement) -> list:
 
 
 def _product_on_support(r: int, c: int, factors: list) -> dict:
-    """The Magnus series of the product of basic powers B_word^e, read on P(r, c).
+    """The Magnus series of the product of basic powers B_word^e, read on P(r, c)
+    by position.
 
     One left product at a time, from the last factor to the first, each a
     walk over the words of B^e on P (series.left_mul_by), and each exact on P.
@@ -279,8 +291,8 @@ def _product_on_support(r: int, c: int, factors: list) -> dict:
     > c/2, so L t reads t only below degree c - c//2 and writes it only
     above c//2: the step adds into t in place.
     """
-    prefix_splits = lyndon_prefix_splits(r, c)
-    t = {(): 1}
+    prefix_splits = lyndon_factor_positions(r, c).prefix_splits
+    t = {0: 1}
     for linear, run in groupby(reversed(factors), key=lambda f: 2 * len(f[0]) > c):
         if linear:
             p: dict = {}
@@ -295,7 +307,7 @@ def _product_on_support(r: int, c: int, factors: list) -> dict:
 
 def _collected(r: int, c: int, factors: list) -> GroupElement:
     """The product of the factors in collected form, peeled on P(r, c); a product
-    that reads {(): 1} on P is the identity and needs no peel."""
+    that reads 1 on P is the identity and needs no peel."""
     t = _product_on_support(r, c, factors)
     if len(t) == 1:
         return GroupElement.identity(r, c)

@@ -4,6 +4,10 @@ Series live in Z<<X_1..X_r>> modulo words of length > class_bound and are
 stored sparsely as word-tuple -> nonzero coefficient.  The empty tuple is the
 constant term.  These series carry the Magnus embedding of the free nilpotent
 groups and the associative envelope of the free Lie ring.
+
+A series read on P(r, c), the word set of group arithmetic, is keyed by
+position in words.lyndon_factor_positions instead: left_mul_on, left_mul_by
+and poly_substitute with a support walk those keys.
 """
 
 from __future__ import annotations
@@ -84,14 +88,13 @@ def unit_mul(a: dict, b: dict, max_deg: int) -> dict:
     return _mul_buckets([x for x in a_deg if x[0]], [x for x in b_deg if x[0]], max_deg, out)
 
 
-def left_mul_on(p: dict, t: dict, splits: dict | tuple, out: dict) -> dict:
-    """out += (p - p[()]) t read on P(r, c), in place.
+def left_mul_on(p: dict, t: dict, splits: tuple, out: dict) -> dict:
+    """out += (p - p[0]) t read on P(r, c), in place; position 0 is ().
 
-    splits is P's table by the right part: each v in P with the pairs (u, uv),
-    u nonempty, that lie in P.  The walk reads p, t and out only through the
-    keys that splits uses, words (words.lyndon_factor_splits) or their
-    positions (words.lyndon_factor_positions), so all three are keyed alike.
-    t must be supported on P; p is read only at the nonempty words of P.
+    p, t and out are keyed by position in P, and splits is P's table by the
+    right part (words.FactorTable.splits): each v with the pairs (u, uv), u
+    nonempty, that lie in P.  t must be supported on P; p is read only at the
+    nonempty words of P.
     """
     get, p_get = out.get, p.get
     for v, cv in t.items():
@@ -106,17 +109,17 @@ def left_mul_on(p: dict, t: dict, splits: dict | tuple, out: dict) -> dict:
     return out
 
 
-def left_mul_by(p: dict, t: dict, prefix_splits: dict, out: dict) -> dict:
-    """out += (p - p[()]) t read on P(r, c), in place.
+def left_mul_by(p: dict, t: dict, prefix_splits: tuple, out: dict) -> dict:
+    """out += (p - p[0]) t read on P(r, c), in place; position 0 is ().
 
     The walk of left_mul_on turned around, for a left factor sparser than t:
-    prefix_splits (words.lyndon_prefix_splits) maps each nonempty u in P to
-    the pairs (v, uv) with uv in P, and the words of p outside P are
-    skipped.  t must be exact on P.
+    prefix_splits (words.FactorTable.prefix_splits) maps each position u in
+    P to the pairs (v, uv) with uv in P, none for u = ().  p, t and out are
+    keyed by position, and t must be exact on P.
     """
     get, t_get = out.get, t.get
     for u, cu in p.items():
-        for v, x in prefix_splits.get(u, ()):
+        for v, x in prefix_splits[u]:
             cv = t_get(v)
             if cv:
                 s = get(x, 0) + cu * cv
@@ -134,13 +137,11 @@ def poly_substitute(polys, letter_images, max_deg: int, support: tuple | None = 
     the rest.  One suffix table serves every polynomial, so words sharing a
     suffix, in one polynomial or across them, share that product.
 
-    With support, P(r, c) by position (words.lyndon_factor_positions), every
-    image is kept on P only: a left product read on P reads its right factor
-    on P alone, so the results are exact on P.  The letter images are then
-    read only at the nonempty words of P, so they may be given on P, and
-    their constant terms are never read.  The letters and every suffix image
-    are keyed by position, and each result is summed in a list indexed by
-    position and turned back into words once.
+    With support, P(r, c) (words.lyndon_factor_positions), every image is
+    kept on P only: a left product read on P reads its right factor on P
+    alone, so the results are exact on P.  The letter images are then read
+    only at the nonempty words of P, and are given on P keyed by position,
+    as are the results; polys stay keyed by word.
     """
     if support is None:
         letters = [_by_degree(image, max_deg) for image in letter_images]
@@ -160,21 +161,18 @@ def poly_substitute(polys, letter_images, max_deg: int, support: tuple | None = 
             return out
 
     else:
-        words, position, splits = support
-        letters = [
-            {position[w]: x for w, x in image.items() if w in position} for image in letter_images
-        ]
-        one = position[()]
+        splits = support.splits
+        one = 0
 
         def times_letter(i: int, tail: tuple, image: dict) -> dict:
-            return left_mul_on(letters[i - 1], image, splits, {})
+            return left_mul_on(letter_images[i - 1], image, splits, {})
 
         def added_up(poly: dict) -> dict:
-            acc = [0] * len(words)
+            acc = [0] * len(splits)
             for word, coeff in poly.items():
                 for i, x in substituted(word).items():
                     acc[i] += coeff * x
-            return {words[i]: x for i, x in enumerate(acc) if x}
+            return {i: x for i, x in enumerate(acc) if x}
 
     suffix_cache: dict = {(): {one: 1}}
 

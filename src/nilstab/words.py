@@ -5,12 +5,17 @@ standard factorization w = u.v (v the lexicographically smallest, equivalently
 the longest Lyndon, proper suffix) turns each word into a binary bracket tree;
 these trees index the monomial basis used everywhere else in the package.
 Basis order is by degree, then lexicographic on words.
+
+lyndon_factor_positions is the one table of P(r, c), the word set of all
+group arithmetic: group, autos and series key every series on P by a word's
+position there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from typing import NamedTuple
 
 
 def mobius(n: int) -> int:
@@ -84,57 +89,45 @@ def lyndon_words(r: int, n: int) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
-def lyndon_factors(r: int, c: int) -> frozenset:
-    """P(r, c), the empty word and every factor of a Lyndon word of length <= c.
+class FactorTable(NamedTuple):
+    """P(r, c), the empty word and every factor of a Lyndon word of length <= c,
+    by position.
 
-    P is closed under taking prefixes and suffixes, so a left product p.t read
-    on P is exact there and needs only p and t on P: (p t)[x] is the sum over
-    x = u v of p[u] t[v], and u and v are factors of x.
+    words lists P in (length, word) order, so () is at position 0, and
+    position maps each word to its index there.  Both walk tables of a left
+    product p.t read on P are in positions: splits[v] holds the pairs (u, uv)
+    with u nonempty and uv in P, the walk over the right factor, and
+    prefix_splits[u] the pairs (v, uv) with uv in P, the walk over the left
+    factor (empty for u = ()).  P is closed under taking prefixes and
+    suffixes, so (p t)[x] is the sum over x = u v of p[u] t[v] with u and v in
+    P: the product is exact on P and needs only p and t on P.
     """
-    words = {()}
+
+    words: tuple
+    position: dict
+    splits: tuple
+    prefix_splits: tuple
+
+
+@lru_cache(maxsize=None)
+def lyndon_factor_positions(r: int, c: int) -> FactorTable:
+    """P(r, c) by position, with both walk tables built in one pass."""
+    factors = {()}
     for n in range(1, c + 1):
         for w in lyndon_words(r, n):
-            words.update(w[i:j] for i in range(n) for j in range(i + 1, n + 1))
-    return frozenset(words)
-
-
-@lru_cache(maxsize=None)
-def lyndon_prefix_splits(r: int, c: int) -> dict:
-    """P(r, c) as a table by the left part: each nonempty u in P maps to the
-    pairs (v, uv) with uv in P, the table of a walk over the left factor of p.t."""
-    splits: dict = {}
-    for x in lyndon_factors(r, c):
-        for k in range(1, len(x) + 1):
-            splits.setdefault(x[:k], []).append((x[k:], x))
-    return {u: tuple(pairs) for u, pairs in splits.items()}
-
-
-@lru_cache(maxsize=None)
-def lyndon_factor_splits(r: int, c: int) -> dict:
-    """P(r, c) as a table by the right part: each v in P maps to the pairs
-    (u, uv) with u nonempty and uv in P, the table of a walk over the right
-    factor of p.t."""
-    splits: dict = {v: [] for v in lyndon_factors(r, c)}
-    for x in splits:
-        for k in range(1, len(x) + 1):
-            splits[x[k:]].append((x[:k], x))
-    return {v: tuple(pairs) for v, pairs in splits.items()}
-
-
-@lru_cache(maxsize=None)
-def lyndon_factor_positions(r: int, c: int) -> tuple:
-    """P(r, c) by position: (words, position, splits).  words lists P in
-    (length, word) order, position maps each word to its index there, and
-    splits[i] holds the pairs of lyndon_factor_splits for words[i] as
-    positions, the same walk keyed by small integers in place of tuples."""
-    words = tuple(sorted(lyndon_factors(r, c), key=lambda w: (len(w), w)))
+            factors.update(w[i:j] for i in range(n) for j in range(i + 1, n + 1))
+    words = tuple(sorted(factors, key=lambda w: (len(w), w)))
     position = {w: i for i, w in enumerate(words)}
-    by_word = lyndon_factor_splits(r, c)
-    splits = tuple(
-        tuple((position[u], position[x]) for u, x in by_word[v]) for v in words
+    splits: list = [[] for _ in words]
+    prefix_splits: list = [[] for _ in words]
+    for x, w in enumerate(words):
+        for k in range(1, len(w) + 1):
+            u, v = position[w[:k]], position[w[k:]]
+            splits[v].append((u, x))
+            prefix_splits[u].append((v, x))
+    return FactorTable(
+        words, position, tuple(map(tuple, splits)), tuple(map(tuple, prefix_splits))
     )
-    return words, position, splits
 
 
 def standard_factorization(word: tuple) -> tuple[tuple, tuple]:

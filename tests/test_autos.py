@@ -45,7 +45,7 @@ from nilstab.verify import (
     random_hom_map,
     random_unimodular,
 )
-from nilstab.words import lyndon_basis, lyndon_factors, witt_rank
+from nilstab.words import lyndon_basis, lyndon_factor_positions, witt_rank
 
 
 def gens(r, c):
@@ -171,27 +171,26 @@ def test_replaced_group_element_starts_without_a_series():
 
 
 @pytest.mark.parametrize("r, c", [(2, 3), (3, 4), (4, 4), (2, 6)])
-def test_substitution_is_checked_on_every_word_of_p(r, c, monkeypatch):
+def test_substitution_is_checked_on_every_word_of_p(r, c, monkeypatch, on_p):
     # a compose result carries its images' series on P exactly; a fault in the
     # substituted series at (1, 1), a word of P that is no suffix of a Lyndon
     # word, is caught by the peel in the call that made it
     rng = random.Random(f"checked/{r}/{c}")
-    factors = lyndon_factors(r, c)
-    assert (1, 1) in factors
+    position = lyndon_factor_positions(r, c).position
+    assert (1, 1) in position
+    aa = position[(1, 1)]
     pairs = [(random_automorphism(rng, r, c), random_automorphism(rng, r, c)) for _ in range(2)]
     for e1, e2 in pairs:
         e = compose(e1, e2)
-        assert e._on_factors == tuple(
-            {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
-            for img in e.images
-        )
+        expected = tuple(on_p(magnus_embed(img).coefficients, r, c) for img in e.images)
+        assert e._on_factors == expected
 
     def faulty(polys, letter_images, max_deg, support=None):
         images = poly_substitute(polys, letter_images, max_deg, support)
         for image in images:
-            image[(1, 1)] = image.get((1, 1), 0) + 1
-            if not image[(1, 1)]:
-                del image[(1, 1)]
+            image[aa] = image.get(aa, 0) + 1
+            if not image[aa]:
+                del image[aa]
         return images
 
     monkeypatch.setattr(autos, "poly_substitute", faulty)
@@ -337,15 +336,11 @@ def test_invert_is_two_sided_at_depth(r, c, seed):
 
 
 @pytest.mark.parametrize("r,c", [(2, 3), (3, 4), (4, 4), (3, 6)])
-def test_letters_of_a_fresh_endo_are_its_series_on_p(r, c, monkeypatch):
+def test_letters_of_a_fresh_endo_are_its_series_on_p(r, c, monkeypatch, on_p):
     # multiplied out on P with no full embedding, and equal to the embedding cut to P
     rng = random.Random(f"letters/{r}/{c}")
     e = Endo(r, c, tuple(random_group_element(rng, r, c) for _ in range(r)))
-    factors = lyndon_factors(r, c)
-    expected = tuple(
-        {w: x for w, x in magnus_embed(img).coefficients.items() if w in factors}
-        for img in e.images
-    )
+    expected = tuple(on_p(magnus_embed(img).coefficients, r, c) for img in e.images)
     embedded = []
     monkeypatch.setattr(autos, "magnus_embed", lambda g: embedded.append(g) or magnus_embed(g))
     fresh = Endo(r, c, tuple(GroupElement(r, c, dict(g.exponents)) for g in e.images))
@@ -509,6 +504,9 @@ def test_sharp_examples():
     assert e == endo_from_images(
         [parse_element("a * [ab]", r, c), parse_element("b", r, c)]
     )
+    # at class 1 the column holds x_i's own exponent too
+    e = sharp(HomMap(2, 1, ((1, 0), (2, -1))))
+    assert e == endo_from_images([parse_element("a^2 * b^2", 2, 1), parse_element("1", 2, 1)])
 
 
 def test_flat_sharp_mutually_inverse():

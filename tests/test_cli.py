@@ -371,6 +371,30 @@ def test_aut_lift_rejects_non_automorphism(capsys):
     assert "not an automorphism" in err
 
 
+def _endo_json(rank, class_bound, columns):
+    """An endomorphism JSON whose image i has exponents columns[i], identity past them."""
+    images = [
+        {"rank": rank, "class": class_bound, "exponents": columns[i] if i < len(columns) else []}
+        for i in range(rank)
+    ]
+    return json.dumps({"rank": rank, "class": class_bound, "images": images})
+
+
+@pytest.mark.parametrize(
+    "rank, class_bound, columns, message",
+    [
+        (300, 1, [[["a", 2]]], "rank 300 exceeds the bound"),
+        (2, 50, [[["a", 2]], [["b", 1]]], "class 50 exceeds the bound"),
+        (2, 50, [[["b", 1]], [["a", 1]]], "class 50 exceeds the bound"),
+    ],
+)
+def test_aut_lift_checks_json_bounds_first(capsys, rank, class_bound, columns, message):
+    # a JSON source out of bounds is a usage error before any determinant is
+    # taken, automorphism or not, as with --images
+    result = run(capsys, "aut-lift", _endo_json(rank, class_bound, columns))
+    assert _usage_error(result) and message in result[2]
+
+
 def test_kernel_iso(capsys):
     code, out, _ = run(capsys, "kernel-iso", "-r", "2", "-c", "2", "--seed", "3")
     assert code == 0

@@ -49,9 +49,6 @@ from nilstab.words import (
     graded_basis,
     is_lyndon,
     lyndon_factor_positions,
-    lyndon_factor_splits,
-    lyndon_factors,
-    lyndon_prefix_splits,
     standard_factorization,
     witt_rank,
 )
@@ -205,17 +202,18 @@ def test_poly_substitute_of_several_matches_each_alone():
     assert poly_substitute([], [{(1,): 1}], 3) == []
 
 
-def test_poly_substitute_on_a_support_is_the_full_substitution_there():
-    # letter images may be empty or a single term; the support is P(r, c)
+def test_poly_substitute_on_a_support_is_the_full_substitution_there(on_p):
+    # letter images may be empty or a single term; the support is P(r, c), and
+    # the letters go in and the images come out by position there
     rng = random.Random(64)
     for _ in range(60):
         r, c = rng.choice(((1, 4), (2, 3), (3, 4), (2, 5), (2, 6), (3, 6)))
-        splits = lyndon_factor_splits(r, c)
         polys = [_random_poly(rng, r, c, 8) for _ in range(rng.randint(1, 3))] + [{}]
         images = [_random_poly(rng, r, c, rng.choice((0, 1, 1, 3, 8)), min_deg=1) for _ in range(r)]
         full = poly_substitute(polys, images, c)
-        assert poly_substitute(polys, images, c, lyndon_factor_positions(r, c)) == [
-            {w: x for w, x in image.items() if w in splits} for image in full
+        letters = [on_p(image, r, c) for image in images]
+        assert poly_substitute(polys, letters, c, lyndon_factor_positions(r, c)) == [
+            on_p(image, r, c) for image in full
         ]
 
 
@@ -296,37 +294,36 @@ def test_basic_series_matches_the_oracle_recursion(r, c):
 
 
 @pytest.mark.parametrize("r, c", [(2, 5), (3, 4), (3, 6), (4, 4), (2, 8), (4, 5)])
-def test_basic_powers_match_full_series_powers_on_p(r, c):
+def test_basic_powers_match_full_series_powers_on_p(r, c, on_p):
     # the powers of N = B - 1, one left product on P each, against full-series
     # products of N cut to P
-    factors = lyndon_factors(r, c)
     for b in graded_basis(r, c):
         n = {w: x for w, x in _basic_series(r, c, b.word).items() if w}
         power, expected = n, []
         for _ in range(c // b.degree):
-            expected.append({w: x for w, x in power.items() if w in factors})
+            expected.append(on_p(power, r, c))
             power = poly_mul(power, n, c)
         assert not power
         assert _basic_powers(r, c, b.word) == tuple(expected)
 
 
 @pytest.mark.parametrize("r, c", [(1, 4), (2, 3), (3, 4), (2, 5), (3, 6), (4, 4)])
-def test_left_mul_by_matches_left_mul_on(r, c):
-    # p may have a constant term and words outside P; t is exact on P, and out
-    # starts nonempty
+def test_left_mul_by_matches_left_mul_on(r, c, on_p):
+    # p, cut to P, may have a constant term; t is exact on P, and out starts
+    # nonempty
     rng = random.Random(f"left-mul/{r}/{c}")
-    splits, prefix = lyndon_factor_splits(r, c), lyndon_prefix_splits(r, c)
-    support = sorted(splits)
-    outside = [w for w in _random_poly(rng, r, c, 20, 1) if w not in prefix]
+    table = lyndon_factor_positions(r, c)
+    support = range(len(table.words))
     for _ in range(20):
         p = _random_poly(rng, r, c, rng.choice((0, 1, 3, 10, 30)))
         if rng.random() < 0.5:
             p[()] = rng.choice((1, -2, 10**12))
-        for w in rng.sample(outside, min(len(outside), 2)):
-            p[w] = rng.choice((-1, 3))
+        p = on_p(p, r, c)
         t = {w: rng.randint(-3, 3) or 1 for w in rng.sample(support, rng.randint(0, len(support)))}
         out = {w: rng.randint(1, 3) for w in rng.sample(support, min(3, len(support)))}
-        assert left_mul_by(p, t, prefix, dict(out)) == left_mul_on(p, t, splits, dict(out))
+        assert left_mul_by(p, t, table.prefix_splits, dict(out)) == left_mul_on(
+            p, t, table.splits, dict(out)
+        )
 
 
 def _oracle_comm(g, h):
@@ -588,33 +585,43 @@ def test_peel_is_sound_on_arbitrary_series():
 
 
 @pytest.mark.parametrize("r, c", [(3, 1), (2, 3), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6), (2, 7)])
-def test_peel_on_support_matches_the_full_peel(r, c):
+def test_peel_on_support_matches_the_full_peel(r, c, on_p):
     # the series of dense elements, read on P(r, c) only, give the same exponents
     rng = random.Random(f"support-peel/{r}/{c}")
-    factors = lyndon_factors(r, c)
     for _ in range(8):
         g = mul(random_group_element(rng, r, c), random_group_element(rng, r, c, support=12))
         full = magnus_embed(GroupElement.from_exponents(r, c, g.exponents)).coefficients
-        on_support = {w: x for w, x in full.items() if w in factors}
+        on_support = on_p(full, r, c)
         peeled = magnus_peel(TruncatedSeries(r, c, full))
         assert _peel(r, c, on_support) == peeled.exponents == g.exponents
 
 
-def test_peel_on_support_rejects_a_perturbed_non_lyndon_word():
+def test_peel_on_support_rejects_a_perturbed_non_lyndon_word(on_p):
     # the Lyndon coefficients still give exponents, but the residual on P is not 1
     rng = random.Random(66)
     for r, c in [(2, 4), (3, 4), (2, 6), (4, 3)]:
-        factors = lyndon_factors(r, c)
-        non_lyndon = [w for w in factors if w and not is_lyndon(w)]
+        words, position = lyndon_factor_positions(r, c)[:2]
+        non_lyndon = [w for w in words if w and not is_lyndon(w)]
         assert non_lyndon
         for _ in range(20):
-            full = magnus_embed(random_group_element(rng, r, c)).coefficients
-            series = {w: x for w, x in full.items() if w in factors}
-            word = rng.choice(non_lyndon)
+            series = on_p(magnus_embed(random_group_element(rng, r, c)).coefficients, r, c)
+            word = position[rng.choice(non_lyndon)]
             series[word] = series.get(word, 0) + rng.choice((-2, -1, 1, 2))
             series = {w: x for w, x in series.items() if x}
             with pytest.raises(NotAGroupElement):
                 _peel(r, c, series)
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 3), (3, 4)])
+def test_peel_refuses_a_series_keyed_by_word(r, c, on_p):
+    # the peel reads P by position; a word-keyed series has no constant term
+    # there, so a missed conversion fails loudly instead of peeling to junk
+    rng = random.Random(f"word-keyed/{r}/{c}")
+    for g in (GroupElement.identity(r, c), *gens(r, c), random_group_element(rng, r, c)):
+        series = magnus_embed(g).coefficients
+        assert _peel(r, c, on_p(series, r, c)) == g.exponents
+        with pytest.raises(NotAGroupElement, match="constant term"):
+            _peel(r, c, series)
 
 
 @pytest.mark.parametrize("r, c", [(4, 1), (3, 2), (3, 3), (3, 4), (2, 5), (3, 5), (2, 6), (2, 7)])

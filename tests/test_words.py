@@ -9,9 +9,6 @@ from nilstab.words import (
     is_lyndon,
     lyndon_basis,
     lyndon_factor_positions,
-    lyndon_factor_splits,
-    lyndon_factors,
-    lyndon_prefix_splits,
     lyndon_words,
     mobius,
     standard_factorization,
@@ -154,7 +151,11 @@ def test_lyndon_suffix_splits_against_brute_force(r, c):
     words = [w for n in range(1, c + 1) for w in product(range(1, r + 1), repeat=n)]
     lyndon = [w for w in words if is_lyndon(w)]
     support = {()} | {w[i:j] for w in lyndon for j in range(len(w) + 1) for i in range(j)}
-    splits = lyndon_factor_splits(r, c)
+    table = lyndon_factor_positions(r, c)
+    splits = {
+        table.words[v]: [(table.words[u], table.words[x]) for u, x in pairs]
+        for v, pairs in enumerate(table.splits)
+    }
     assert set(splits) == support
     assert all(x[:k] in support and x[k:] in support for x in support for k in range(len(x)))
     for v, pairs in splits.items():
@@ -169,26 +170,26 @@ def test_lyndon_suffix_splits_against_brute_force(r, c):
 @pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (2, 5), (3, 4), (3, 6), (2, 8), (4, 5)])
 def test_lyndon_prefix_splits_hold_the_suffix_table_triples(r, c):
     # the same (u, v, uv) triples as P's table by the right part, keyed by the
-    # left part u, which is never empty
-    suffix = lyndon_factor_splits(r, c)
-    prefix = lyndon_prefix_splits(r, c)
-    by_suffix = sorted((u, v, x) for v, pairs in suffix.items() for u, x in pairs)
-    by_prefix = sorted((u, v, x) for u, pairs in prefix.items() for v, x in pairs)
+    # left part u, which is never empty: every nonempty word has pairs, () none
+    table = lyndon_factor_positions(r, c)
+    by_suffix = sorted((u, v, x) for v, pairs in enumerate(table.splits) for u, x in pairs)
+    by_prefix = sorted((u, v, x) for u, pairs in enumerate(table.prefix_splits) for v, x in pairs)
     assert by_prefix == by_suffix
-    assert all(u and pairs for u, pairs in prefix.items())
-    assert set(prefix) == lyndon_factors(r, c) - {()}
+    assert len(table.prefix_splits) == len(table.words)
+    assert [bool(pairs) for pairs in table.prefix_splits] == [bool(w) for w in table.words]
 
 
 @pytest.mark.parametrize("r, c", [(1, 4), (2, 1), (3, 4), (3, 6), (2, 8)])
 def test_lyndon_factor_positions_index_the_suffix_table(r, c):
-    # the table by the right part with every word replaced by its position
-    words, position, splits = lyndon_factor_positions(r, c)
-    assert set(words) == lyndon_factors(r, c) and len(words) == len(position)
+    # words in (length, word) order with () at 0, position its inverse, and one
+    # entry of each walk table per word
+    words, position, splits, prefix_splits = lyndon_factor_positions(r, c)
+    assert list(words) == sorted(words, key=lambda w: (len(w), w)) and words[0] == ()
+    assert len(set(words)) == len(words) == len(position)
     assert all(words[i] == w for w, i in position.items())
-    by_word = lyndon_factor_splits(r, c)
-    assert len(splits) == len(words)
-    for v, pairs in zip(words, splits):
-        assert tuple((words[u], words[x]) for u, x in pairs) == by_word[v]
+    assert len(splits) == len(prefix_splits) == len(words)
+    for v, pairs in enumerate(splits):
+        assert all(words[x] == words[u] + words[v] for u, x in pairs)
 
 
 @pytest.mark.parametrize(
@@ -198,5 +199,6 @@ def test_lyndon_factors_against_brute_force(r, c, count):
     # P: the empty word and every factor of a Lyndon word of length <= c
     lyndon = [w for n in range(1, c + 1) for w in brute_force_lyndon(r, n)]
     factors = {w[i:j] for w in lyndon for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
-    assert lyndon_factors(r, c) == frozenset({()} | factors)
-    assert len(lyndon_factors(r, c)) - 1 == count
+    words = lyndon_factor_positions(r, c).words
+    assert set(words) == {()} | factors
+    assert len(words) - 1 == count
