@@ -270,15 +270,21 @@ def _sharp_after(beta: HomMap, f: Endo) -> Endo:
     to g times the central element with coordinates beta (degree-1 exponents
     of g), and a central factor of top degree adds to g's top-degree
     exponents; so f(x_i) gains column i of beta A at degree c, with A the
-    abelianization of f."""
+    abelianization of f.  Only the nonzero entries of A and beta are read."""
     r, c = f.rank, f.class_bound
-    shift = intlinalg.matmul(beta.matrix, abelianization_matrix(f))
-    basis = lyndon_basis(r, c)
+    cols = [[(k, row[j]) for k, row in enumerate(beta.matrix) if row[j]] for j in range(r)]
+    letters, basis = lyndon_basis(r, 1), lyndon_basis(r, c)
     images = []
-    for i, img in enumerate(f.images):
+    for img in f.images:
+        shift: dict = {}
+        for x, col in zip(letters, cols):
+            a = img.exponents.get(x)
+            if a:
+                for k, y in col:
+                    shift[k] = shift.get(k, 0) + a * y
         exps = dict(img.exponents)
-        for b, row in zip(basis, shift):
-            exps[b] = exps.get(b, 0) + row[i]
+        for k in sorted(shift):
+            exps[basis[k]] = exps.get(basis[k], 0) + shift[k]
         images.append(GroupElement.from_exponents(r, c, exps))  # drops the zeros
     return Endo(r, c, tuple(images))
 

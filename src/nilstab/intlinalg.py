@@ -106,9 +106,11 @@ def sparse_kron(a, b) -> tuple:
     """Kronecker product of two square matrices given by sparse columns."""
     n = len(b)
     return tuple(
-        tuple((i * n + k, x * y) for i, x in col_a for k, y in col_b)
-        for col_a in a
-        for col_b in b
+        [
+            tuple([(i * n + k, x * y) for i, x in col_a for k, y in col_b])
+            for col_a in a
+            for col_b in b
+        ]
     )
 
 
@@ -446,8 +448,17 @@ def lattice_basis(cols, dim: int) -> list:
 
 
 def _pivots(basis_cols) -> dict:
-    """Pivot table of an echelon basis: each column keyed by its first nonzero row."""
-    return {next(i for i, x in enumerate(col) if x != 0): col for col in basis_cols}
+    """Pivot table of an echelon basis: each column keyed by its first nonzero
+    row.  The pivot rows increase strictly, so each column is read from one
+    row past the previous pivot."""
+    table = {}
+    row = 0
+    for col in basis_cols:
+        while not col[row]:
+            row += 1
+        table[row] = col
+        row += 1
+    return table
 
 
 def _reduce(pivots: dict, vec) -> list:

@@ -4,8 +4,13 @@ Coinvariants of a based module under a group given by generator matrices are
 the cokernel of the lattice spanned by the columns of every (g - 1).  The
 automorphism group of the free nilpotent group acts on a polynomial module
 through its abelianization, which maps onto GL_r(Z), so scans take the
-coinvariants of the GL_r(Z) generators and their values do not depend on the
-class.  For a consecutive pair of ranks the composite comparison map on
+coinvariants of GL_r(Z) and their values do not depend on the class.
+Coinvariants need only a generating set, since the relation lattice is I*M
+for any set: the rank-r terms take gl_generators(r), and the middle term of
+a comparison, GL_r acting on the rank-(r+1) coefficients, takes the four
+scan_generators(r) embedded along diag(a, 1).
+
+For a consecutive pair of ranks the composite comparison map on
 coinvariants is induced by the module stabilization; it is an isomorphism
 precisely when the two groups are abstractly isomorphic and the map is onto
 (finitely generated abelian groups are Hopfian).  The map includes basis
@@ -52,6 +57,21 @@ def gl_generators(r: int) -> list:
     flip[0][0] = -1
     gens.append(intlinalg.freeze(flip))
     return gens
+
+
+def scan_generators(r: int) -> list:
+    """E_12(1), the transposition (1 2), the r-cycle and diag(-1, 1, ..., 1),
+    which generate GL_r(Z) (Coxeter and Moser, ch. 7; Trott 1962).  The
+    cycle is the transposition at r = 2, and only the sign is left at r = 1.
+    E_12, (1 2) and the sign are gl_generators' first elementary matrix,
+    first transposition and last matrix."""
+    gens = gl_generators(r)
+    if r == 1:
+        return gens
+    out = [gens[0], gens[r * (r - 1)]]
+    if r > 2:
+        out.append(intlinalg.freeze([[1 if b == (a + 1) % r else 0 for b in range(r)] for a in range(r)]))
+    return out + [gens[-1]]
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +214,9 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
     """Coinvariants of the automorphism groups on the module across a rank range,
     with the composite comparison map tested per consecutive pair.  They are
     the coinvariants of gl_generators(r), since automorphisms act through the
-    abelianization, so they do not depend on c, which is validated and reported."""
+    abelianization, so they do not depend on c, which is validated and reported.
+    The middle term of each pair, GL_r on the rank-(r+1) coefficients, takes
+    the four scan_generators(r): any generating set gives the same lattice."""
     ranks = list(r_range)
     if c < 1:
         raise ValueError("need c >= 1")
@@ -218,7 +240,7 @@ def stability_scan(spec: ModuleSpec, c: int, r_range) -> ScanReport:
             continue
         mod_next, coinv_next = per_rank[r + 1]
         # middle term: the smaller group, acting on the stabilized coefficients
-        mid = [mod_next.action(_block_embed(a)) for a in gens[r]]
+        mid = [mod_next.action(_block_embed(a)) for a in scan_generators(r)]
         coinv_mid = _coinv(mid, mod_next.rank)
         stab_leg = _induced_iso(mod.stab_index, coinv_r, coinv_mid)
         group_leg = _induced_iso(tuple(range(mod_next.rank)), coinv_mid, coinv_next)

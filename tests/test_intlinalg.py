@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nilstab.intlinalg import (
     FinAbPresentation,
+    _pivots,
     cokernel_presentation,
     compound,
     dense_matrix,
@@ -291,6 +292,24 @@ def test_lattice_basis_random_consistency():
                 w = rng.randint(-2, 2)
                 combo = [x + w * y for x, y in zip(combo, col)]
             assert lattice_contains(basis, tuple(combo))
+
+
+def test_pivots_reads_each_first_nonzero_row():
+    rng = random.Random(71)
+    bases = [[]]
+    for _ in range(60):
+        dim = rng.randint(1, 7)
+        # rank-deficient lattices too: few columns, or rows left at zero
+        zero_rows = set(rng.sample(range(dim), rng.randint(0, dim - 1)))
+        cols = [
+            tuple(0 if i in zero_rows else rng.randint(-3, 3) for i in range(dim))
+            for _ in range(rng.randint(0, dim + 2))
+        ]
+        bases.append(lattice_basis(sparse(cols), dim))
+    assert any(b and len(b) < len(b[0]) for b in bases)
+    for basis in bases:
+        expected = {next(i for i, x in enumerate(col) if x): col for col in basis}
+        assert list(_pivots(basis).items()) == list(expected.items())
 
 
 def test_cokernel_presentation():

@@ -36,6 +36,7 @@ from nilstab.stability import (
     gl_generators,
     kernel_homology_rank,
     kernel_homology_rank_predicted,
+    scan_generators,
     stability_scan,
 )
 from nilstab.words import witt_rank
@@ -180,6 +181,62 @@ def test_gl_generators_match_aut_generators(spec):
                 [mod_next.matrix(_block_embed(a)) for a in gl_generators(r)],
                 mod_next.rank,
             )
+
+
+def test_scan_generators_are_unimodular():
+    # the sign alone at r = 1, no cycle at r = 2
+    assert [len(scan_generators(r)) for r in range(1, 7)] == [1, 3, 4, 4, 4, 4]
+    for r in range(1, 7):
+        gens = scan_generators(r)
+        assert len(set(gens)) == len(gens)
+        for g in gens:
+            assert len(g) == r and det(g) in (1, -1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Std(),
+        DualStd(),
+        LieLayer(2),
+        LieLayer(3),
+        Ext(2, Std()),
+        Tensor(Std(), DualStd()),
+        Hom(Std(), Ext(2, DualStd())),
+    ],
+    ids=str,
+)
+def test_scan_generators_span_the_gl_lattice(spec):
+    # the middle term's four generators give the relation lattice of
+    # gl_generators, at rank r and embedded along diag(a, 1) into rank r + 1
+    for r in range(1, 6):
+        mod, mod_next = eval_module(spec, r), eval_module(spec, r + 1)
+        _same_relation_lattice(
+            [mod.matrix(a) for a in scan_generators(r)],
+            [mod.matrix(a) for a in gl_generators(r)],
+            mod.rank,
+        )
+        _same_relation_lattice(
+            [mod_next.matrix(_block_embed(a)) for a in scan_generators(r)],
+            [mod_next.matrix(_block_embed(a)) for a in gl_generators(r)],
+            mod_next.rank,
+        )
+
+
+def test_scan_middle_term_takes_scan_generators(monkeypatch):
+    calls = []
+
+    def recorded(actions, dim):
+        calls.append((len(actions), dim))
+        return _coinv(actions, dim)
+
+    monkeypatch.setattr(stability, "_coinv", recorded)
+    ranks = range(1, 6)
+    stability_scan(Tensor(Std(), DualStd()), 1, ranks)
+    main = [(len(gl_generators(r)), r * r) for r in ranks]
+    mid = [(len(scan_generators(r)), (r + 1) ** 2) for r in ranks[:-1]]
+    assert calls == main + mid
+    assert [n for n, _ in mid] == [1, 3, 4, 4]
 
 
 def test_scan_constant():
